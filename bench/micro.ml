@@ -90,9 +90,29 @@ let test_validation_null_op =
     (Staged.stage (fun () ->
          ignore (ok (Afs_core.Cache.server_validate srv ~file:f ~basis_block:basis))))
 
+(* The stable-storage envelope: the checksum alone, then one §4 write
+   with both legs (seal, companion disk, seal, local disk). *)
+let test_crc32 n =
+  let data = Bytes.init n (fun i -> Char.chr (i land 0xFF)) in
+  Test.make ~name:(Printf.sprintf "crc32-%dK" (n / 1024))
+    (Staged.stage (fun () -> ignore (Afs_util.Wire.crc32 data)))
+
+let test_stable_pair_write =
+  let module S = Afs_stable.Stable_pair in
+  let pair = S.create ~media:Afs_disk.Media.electronic ~blocks:4 ~block_size:1024 () in
+  let payload = Bytes.make 1024 'p' in
+  let b =
+    match (S.allocate_write pair 0 payload).S.result with
+    | Ok b -> b
+    | Error e -> failwith (Fmt.str "%a" S.pp_error e)
+  in
+  Test.make ~name:"stable-pair-write-1K"
+    (Staged.stage (fun () -> ignore (S.write pair 0 b payload)))
+
 let all_tests =
   [ test_encode_fresh; test_encode_memo_hit; test_encoded_size; test_decode;
-    test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op ]
+    test_flags_nibble; test_commit_fastpath; test_serialise_merge; test_validation_null_op;
+    test_crc32 1024; test_crc32 4096; test_stable_pair_write ]
 
 (* [smoke] trades precision for speed (CI runs it on shared runners just
    to catch order-of-magnitude regressions and keep the artifact fresh). *)
@@ -116,7 +136,7 @@ let run ?(smoke = false) () =
     (fun test ->
       let raw = Benchmark.all cfg instances test in
       let results = analyze raw in
-      Hashtbl.iter
+      Afs_util.Det.iter_sorted
         (fun name result ->
           match Analyze.OLS.estimates result with
           | Some [ est ] -> Printf.printf "  %-32s %12.1f ns/op\n" name est

@@ -223,6 +223,7 @@ let collect ?(policy = default_policy) server =
         incr freed
       end)
     all;
+  Server.forget_unreached server ~reached:(Hashtbl.mem marked);
   phase "sweep" !freed;
   Ok
     {

@@ -475,13 +475,6 @@ let version_of_block t block =
   | Some v -> Ok (mint_version_cap t v.vblock)
   | None -> Error (No_such_version (version_obj_of_block block))
 
-let file_of_version t cap =
-  let* v = find_version t cap ~need:Capability.rights_none in
-  let* page = read_pg t v.vblock in
-  match page.Page.header.Page.file_cap with
-  | Some fc -> Ok fc
-  | None -> Error (Store_failure "version page lacks file capability")
-
 (* Free the pages private to a version: copies (C set) found by descent,
    then the version page itself. Shared pages (C clear) belong to the base
    and survive. *)
@@ -963,10 +956,6 @@ let commit_batch t caps =
               tpoint t (Trace.Commit_batch { size; winners = 0; aborts });
               List.map (function Ok () -> Error e | r -> r) results)
 
-let flush_version t cap =
-  let* _ = find_version t cap ~need:Capability.rights_none in
-  Pagestore.flush t.ps
-
 (* {2 Two-phase commit baseline (prepare / decide)}
 
    The occ4txn shape, assembled from the existing pipeline's
@@ -1128,6 +1117,18 @@ let note_pruned_chain t cap ~new_oldest =
   let* file = find_file t cap ~need:Capability.right_admin in
   file.oldest_hint <- new_oldest;
   Ok ()
+
+(* The collector's sweep frees the blocks of pruned versions, and abort
+   freed an aborted version's blocks already, but their records would
+   stay behind forever; drop them with the sweep. An aborted version's
+   block may since hold a live page, so its record goes even when the
+   mark reached that block. Uncommitted and retained versions are mark
+   roots, so they survive. *)
+let forget_unreached t ~reached =
+  Hashtbl.filter_map_inplace
+    (fun vb v -> if v.status <> Aborted && reached vb then Some v else None)
+    t.versions;
+  Det.iter_sorted (fun _ f -> f.vblocks <- List.filter (Hashtbl.mem t.versions) f.vblocks) t.files
 
 let list_files t =
   List.rev (Det.fold_sorted (fun _ f acc -> mint_file_cap t (f.file_obj / 2) :: acc) t.files [])

@@ -194,8 +194,6 @@ val commit_batch : t -> Afs_util.Capability.t list -> unit Errors.r list
     winner gets the store error — recovery reads the truth back. Emits
     one [Trace.Commit_batch] point per batch. *)
 
-val flush_version : t -> Afs_util.Capability.t -> unit Errors.r
-
 val prepare : t -> Afs_util.Capability.t -> unit Errors.r
 (** Two-phase-commit baseline, phase one: run the version through
     validate and merge exactly as a deferred group-commit member — the
@@ -257,6 +255,11 @@ val note_pruned_chain : t -> Afs_util.Capability.t -> new_oldest:int -> unit Err
 (** Tell the server the GC unlinked committed versions older than
     [new_oldest]; chain walks start there from now on. *)
 
-val file_of_version : t -> Afs_util.Capability.t -> Afs_util.Capability.t Errors.r
+val forget_unreached : t -> reached:(int -> bool) -> unit
+(** Drop the record of every aborted version and of every version whose
+    block fails [reached], and their entries in the files' version
+    indexes. The collector calls this after its sweep with its mark set,
+    so pruned and aborted versions answer [No_such_version] from then
+    on. *)
 
 val list_files : t -> Afs_util.Capability.t list

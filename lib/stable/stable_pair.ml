@@ -95,31 +95,37 @@ let fail ?(cost = 0.0) e = { result = Error e; cost_ms = cost }
 
 let magic = 0x5AB1
 
-(* One scratch writer for every [seal] call: sealing happens twice per
-   stable write (companion and local leg), so a fresh buffer per call is
-   measurable on the group-commit path. [contents] copies, so reuse
-   never aliases a previously sealed envelope. *)
-let seal_scratch = Wire.Writer.create ~capacity:4096 ()
+(* The image is magic (u16), seq (u64) and the payload's CRC (u32), all
+   little-endian, then the payload with a varint length prefix: Wire's
+   framing, built in one exact-size buffer. The caller passes the CRC so
+   that the two legs of one write checksum the payload once between
+   them. *)
+let header_size = 14
 
-let seal seq payload =
-  let w = seal_scratch in
-  Wire.Writer.reset w;
-  Wire.Writer.u16 w magic;
-  Wire.Writer.u64 w seq;
-  Wire.Writer.u32 w (Wire.crc32 payload);
-  Wire.Writer.sized_bytes w payload;
-  Wire.Writer.contents w
+let seal seq ~crc payload =
+  let n = Bytes.length payload in
+  let image = Bytes.create (header_size + Wire.varint_size n + n) in
+  Bytes.set_uint16_le image 0 magic;
+  Bytes.set_int64_le image 2 seq;
+  Bytes.set_int32_le image 10 (Int32.of_int crc);
+  let pos = Wire.set_varint image header_size n in
+  Bytes.blit payload 0 image pos n;
+  image
 
+(* The CRC is checked over the payload in place; only a good payload is
+   copied out. *)
 let unseal image =
   match
     let r = Wire.Reader.of_bytes image in
     let m = Wire.Reader.u16 r in
     let seq = Wire.Reader.u64 r in
     let crc = Wire.Reader.u32 r in
-    let payload = Wire.Reader.sized_bytes r in
+    let n = Wire.Reader.varint r in
+    let pos = Bytes.length image - Wire.Reader.remaining r in
     if m <> magic then Error "bad magic"
-    else if Wire.crc32 payload <> crc then Error "bad crc"
-    else Ok (seq, payload)
+    else if n < 0 || n > Wire.Reader.remaining r then Error "truncated payload"
+    else if Wire.crc32_sub image pos n <> crc then Error "bad crc"
+    else Ok (seq, Bytes.sub image pos n)
   with
   | result -> result
   | exception Wire.Decode_error msg -> Error msg
@@ -163,7 +169,7 @@ let tentative_allocate t i =
 
 let abort_tentative t i b = Hashtbl.remove t.servers.(i).tentative b
 
-let shadow_write t ~primary ~fresh b payload =
+let shadow_write_crc t ~primary ~fresh b payload ~crc =
   let q = companion primary in
   match check_serving t q with
   | Error e -> fail e
@@ -176,8 +182,7 @@ let shadow_write t ~primary ~fresh b payload =
         fail ~cost:hop_ms (Collision b)
       else begin
         let seq = next_seq t q in
-        let image = seal seq payload in
-        let { Disk.result; cost_ms } = Disk.write s.disk b image in
+        let { Disk.result; cost_ms } = Disk.write s.disk b (seal seq ~crc payload) in
         let cost = hop_ms +. cost_ms in
         match result with
         | Error e -> fail ~cost (Disk_error e)
@@ -187,13 +192,15 @@ let shadow_write t ~primary ~fresh b payload =
             ok ~cost seq
       end
 
+let shadow_write t ~primary ~fresh b payload =
+  shadow_write_crc t ~primary ~fresh b payload ~crc:(Wire.crc32 payload)
+
 (* The disk write itself, without the serving check: recovery uses this
    while the server is still marked unrecovered. *)
-let raw_local_write t i b payload seq =
+let raw_local_write t i b payload ~crc seq =
   let s = t.servers.(i) in
   note_seq t i seq;
-  let image = seal seq payload in
-  let { Disk.result; cost_ms } = Disk.write s.disk b image in
+  let { Disk.result; cost_ms } = Disk.write s.disk b (seal seq ~crc payload) in
   match result with
   | Error e -> fail ~cost:cost_ms (Disk_error e)
   | Ok () ->
@@ -202,14 +209,17 @@ let raw_local_write t i b payload seq =
       leg t ~leg:"local" ~server:i ~block:b ~cost_ms;
       ok ~cost:cost_ms ()
 
-let local_write_seq t i b payload seq =
+let local_write_seq_crc t i b payload ~crc seq =
   match check_serving t i with
   | Error e -> fail e
-  | Ok _ -> raw_local_write t i b payload seq
+  | Ok _ -> raw_local_write t i b payload ~crc seq
 
-let local_write t i b payload =
-  let seq = next_seq t i in
-  local_write_seq t i b payload seq
+let local_write_seq t i b payload seq =
+  local_write_seq_crc t i b payload ~crc:(Wire.crc32 payload) seq
+
+(* Unshadowed local write with a fresh sequence number, for writes made
+   while the companion is down. *)
+let local_write t i b payload ~crc = local_write_seq_crc t i b payload ~crc (next_seq t i)
 
 (* {2 Composite operations} *)
 
@@ -220,18 +230,19 @@ let write_via t i b payload ~require_allocated =
       if require_allocated && not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
       else begin
         let q = companion i in
+        let crc = Wire.crc32 payload in
         if online t q then
-          match shadow_write t ~primary:i ~fresh:(not require_allocated) b payload with
+          match shadow_write_crc t ~primary:i ~fresh:(not require_allocated) b payload ~crc with
           | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
           | { result = Ok seq; cost_ms = shadow_cost } -> (
-              match local_write_seq t i b payload seq with
+              match local_write_seq_crc t i b payload ~crc seq with
               | { result = Ok (); cost_ms } -> ok ~cost:(shadow_cost +. cost_ms) ()
               | { result = Error e; cost_ms } -> fail ~cost:(shadow_cost +. cost_ms) e)
         else begin
           (* Companion down: write locally, leave an intention so the
              companion restores this block when it comes back. *)
           Hashtbl.replace s.intentions b ();
-          match local_write t i b payload with
+          match local_write t i b payload ~crc with
           | { result = Ok (); cost_ms } -> ok ~cost:cost_ms ()
           | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
         end
@@ -265,7 +276,7 @@ let write_batch t i entries =
                   | [] -> ok ~cost ()
                   | (b, payload) :: rest -> (
                       Hashtbl.replace s.intentions b ();
-                      match local_write t i b payload with
+                      match local_write t i b payload ~crc:(Wire.crc32 payload) with
                       | { result = Ok (); cost_ms } -> go (cost +. cost_ms) rest
                       | { result = Error e; cost_ms } -> fail ~cost:(cost +. cost_ms) e)
                 in
@@ -281,21 +292,22 @@ let write_batch t i entries =
                       if Hashtbl.mem sq.tentative b then Error (Collision b)
                       else begin
                         let seq = next_seq t q in
-                        let { Disk.result; cost_ms } = Disk.write sq.disk b (seal seq payload) in
+                        let crc = Wire.crc32 payload in
+                        let { Disk.result; cost_ms } = Disk.write sq.disk b (seal seq ~crc payload) in
                         cost := !cost +. cost_ms;
                         match result with
                         | Error e -> Error (Disk_error e)
                         | Ok () ->
                             Hashtbl.replace sq.allocated b ();
                             leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms;
-                            shadows ((b, payload, seq) :: acc) rest
+                            shadows ((b, payload, crc, seq) :: acc) rest
                       end
                 in
                 (* Leg 2 (B→A): the local copies, under the companion's seqs. *)
                 let rec locals = function
                   | [] -> Ok ()
-                  | (b, payload, seq) :: rest -> (
-                      match raw_local_write t i b payload seq with
+                  | (b, payload, crc, seq) :: rest -> (
+                      match raw_local_write t i b payload ~crc seq with
                       | { result = Ok (); cost_ms } ->
                           cost := !cost +. cost_ms;
                           locals rest
@@ -435,26 +447,24 @@ let restart t i =
       cost := !cost +. my_cost +. their_cost;
       match (mine, theirs) with
       | Ok (my_seq, _), Ok (their_seq, payload) when their_seq > my_seq ->
-          let r = raw_local_write t i b payload their_seq in
+          let r = raw_local_write t i b payload ~crc:(Wire.crc32 payload) their_seq in
           cost := !cost +. r.cost_ms;
           incr repaired
       | Ok (my_seq, payload), Ok (their_seq, _) when my_seq > their_seq ->
           (* Our copy is newer (their disk lost a write): push it back. *)
           let seq = my_seq in
-          let image = seal seq payload in
-          let w = Disk.write q.disk b image in
+          let w = Disk.write q.disk b (seal seq ~crc:(Wire.crc32 payload) payload) in
           note_seq t q_id seq;
           cost := !cost +. w.Disk.cost_ms;
           incr repaired
       | Ok _, Ok _ -> Hashtbl.replace s.allocated b ()
       | Error _, Ok (their_seq, payload) ->
-          let r = raw_local_write t i b payload their_seq in
+          let r = raw_local_write t i b payload ~crc:(Wire.crc32 payload) their_seq in
           cost := !cost +. r.cost_ms;
           Hashtbl.replace s.allocated b ();
           incr repaired
       | Ok (my_seq, payload), Error _ ->
-          let image = seal my_seq payload in
-          let w = Disk.write q.disk b image in
+          let w = Disk.write q.disk b (seal my_seq ~crc:(Wire.crc32 payload) payload) in
           Hashtbl.replace q.allocated b ();
           cost := !cost +. w.Disk.cost_ms;
           incr repaired

@@ -14,7 +14,7 @@
     requests.
 
     The protocol steps ({!tentative_allocate}, {!shadow_write},
-    {!local_write}) are exposed individually so the RPC layer can
+    {!local_write_seq}) are exposed individually so the RPC layer can
     interleave them between concurrent clients under the event engine; the
     composite operations run all steps back-to-back for synchronous use.
     Every result carries the simulated cost of the disk and message work
@@ -106,10 +106,6 @@ val shadow_write : t -> primary:id -> fresh:bool -> int -> bytes -> int64 outcom
 val local_write_seq : t -> id -> int -> bytes -> int64 -> unit outcome
 (** The primary's own disk write, performed after a successful shadow,
     with the sequence number the shadow returned. *)
-
-val local_write : t -> id -> int -> bytes -> unit outcome
-(** Unshadowed local write with a fresh sequence number (recovery and
-    intention replay use this). *)
 
 (** {2 Crashes and recovery} *)
 

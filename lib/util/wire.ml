@@ -6,12 +6,6 @@ module Writer = struct
   type t = { buf : Buffer.t }
 
   let create ?(capacity = 256) () = { buf = Buffer.create capacity }
-
-  (* Empty the writer for reuse, keeping its internal buffer: callers on
-     hot paths keep one scratch writer per call site instead of
-     allocating a fresh [Buffer.t] (and its backing bytes) per message.
-     [contents] copies, so a reset never aliases handed-out images. *)
-  let reset t = Buffer.clear t.buf
   let length t = Buffer.length t.buf
   let u8 t v = Buffer.add_char t.buf (Char.chr (v land 0xFF))
 
@@ -105,19 +99,68 @@ module Reader = struct
   let expect_end t = if remaining t <> 0 then fail "trailing garbage: %d bytes" (remaining t)
 end
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+let rec varint_size v = if v < 0x80 then 1 else 1 + varint_size (v lsr 7)
 
-let crc32 b =
-  let table = Lazy.force crc_table in
+let rec set_varint b pos v =
+  if v < 0 then invalid_arg "Wire.set_varint: negative"
+  else if v < 0x80 then begin
+    Bytes.set_uint8 b pos v;
+    pos + 1
+  end
+  else begin
+    Bytes.set_uint8 b pos (0x80 lor (v land 0x7F));
+    set_varint b (pos + 1) (v lsr 7)
+  end
+
+(* Slicing-by-8 CRC-32 (IEEE, reflected 0xEDB88320). [crc_tables] holds
+   eight 256-entry tables back to back: table 0 is the classic bytewise
+   one, and table [k] advances a byte through [k] further zero bytes, so
+   one step folds eight input bytes with eight lookups. The result is
+   the standard CRC-32; every stable block is sealed with it, so it must
+   never change. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+    done
+  done;
+  t
+
+(* The loop body indexes the flat table by hand: local helper closures
+   would be allocated on every call. *)
+let crc32_sub b pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then invalid_arg "Wire.crc32_sub";
+  let t = crc_tables in
   let c = ref 0xFFFFFFFF in
-  for i = 0 to Bytes.length b - 1 do
-    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!c lsr 8)
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let w = Bytes.get_int64_le b !i in
+    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    c :=
+      Array.unsafe_get t (0x700 lor (lo land 0xFF))
+      lxor Array.unsafe_get t (0x600 lor ((lo lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x500 lor ((lo lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (0x400 lor (lo lsr 24))
+      lxor Array.unsafe_get t (0x300 lor (hi land 0xFF))
+      lxor Array.unsafe_get t (0x200 lor ((hi lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (0x100 lor ((hi lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = !i to pos + len - 1 do
+    c := Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get b j)) land 0xFF) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+let crc32 b = crc32_sub b 0 (Bytes.length b)

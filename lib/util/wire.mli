@@ -11,11 +11,6 @@ module Writer : sig
 
   val create : ?capacity:int -> unit -> t
 
-  val reset : t -> unit
-  (** Empty the writer for reuse, keeping its backing buffer — the
-      arena discipline for per-message scratch writers on hot paths.
-      Safe because {!contents} copies. *)
-
   val length : t -> int
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
@@ -53,5 +48,16 @@ module Reader : sig
   (** Raises {!Decode_error} if any input remains. *)
 end
 
+val varint_size : int -> int
+(** Bytes {!Writer.varint} takes to encode a non-negative int. *)
+
+val set_varint : bytes -> int -> int -> int
+(** [set_varint b pos v] writes [v] at [pos] with {!Writer.varint}'s
+    encoding, in place, and returns the position after it. *)
+
 val crc32 : bytes -> int
 (** CRC-32 (IEEE polynomial) used as the page-image integrity check. *)
+
+val crc32_sub : bytes -> int -> int -> int
+(** [crc32_sub b pos len] is [crc32 (Bytes.sub b pos len)] without the
+    copy. Raises [Invalid_argument] if the range is not inside [b]. *)

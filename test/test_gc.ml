@@ -96,6 +96,60 @@ let test_uncommitted_versions_survive_gc () =
   let cur = ok (Server.current_version srv f) in
   Helpers.check_bytes "landed" "in flight" (ok (Server.read_page srv cur (path [ 0 ])))
 
+(* Version records of swept versions must go with their blocks: across
+   many churn-and-collect cycles the server keeps records only for the
+   retained chain and the update still in flight. *)
+let test_collect_forgets_swept_versions () =
+  let _, srv = Helpers.fresh_server () in
+  let f = Helpers.file_with_pages srv 3 in
+  let created = ref [] in
+  let create () =
+    let v = ok (Server.create_version srv f) in
+    created := ok (Server.version_block srv v) :: !created;
+    v
+  in
+  let records () =
+    List.length
+      (List.filter
+         (fun b -> Result.is_ok (Server.version_of_block srv b))
+         (List.sort_uniq compare !created))
+  in
+  let no_such_version name v =
+    match Server.version_status srv v with
+    | Error (Errors.No_such_version _) -> ()
+    | Error e -> Alcotest.failf "%s: unexpected error %s" name (Errors.to_string e)
+    | Ok _ -> Alcotest.failf "%s: still known after collection" name
+  in
+  let policy = { Gc.retain_committed = 2; reshare = true } in
+  let held = ref None in
+  for cycle = 1 to 40 do
+    (match !held with Some v -> ok (Server.commit srv v) | None -> ());
+    let committed =
+      List.init 4 (fun i ->
+          let v = create () in
+          ok (Server.write_page srv v (path [ i mod 3 ]) (bytes (Printf.sprintf "c%d.%d" cycle i)));
+          ok (Server.commit srv v);
+          v)
+    in
+    let aborted = create () in
+    ok (Server.write_page srv aborted (path [ 0 ]) (bytes "aborted"));
+    ok (Server.abort_version srv aborted);
+    let in_flight = create () in
+    ok (Server.write_page srv in_flight (path [ 1 ]) (bytes (Printf.sprintf "held%d" cycle)));
+    held := Some in_flight;
+    ignore (ok (Gc.collect ~policy srv));
+    (* Two retained versions plus the one in flight. *)
+    Alcotest.(check int) (Printf.sprintf "records after cycle %d" cycle) 3 (records ());
+    no_such_version "pruned" (List.hd committed);
+    no_such_version "aborted" aborted;
+    let retained = List.nth committed 3 in
+    Alcotest.(check bool) "retained still committed" true
+      (ok (Server.version_status srv retained) = Server.Committed);
+    Helpers.check_bytes "retained reads" (Printf.sprintf "c%d.3" cycle)
+      (ok (Server.read_page srv retained (path [ 0 ])))
+  done;
+  Alcotest.(check int) "versions created" 240 (List.length !created)
+
 let test_reshare_read_only_copies () =
   let _, srv = Helpers.fresh_server () in
   let f = Helpers.file_with_pages srv 4 in
@@ -256,6 +310,7 @@ let () =
           quick "shared pages survive prune" test_shared_pages_survive_prune;
           quick "aborted versions swept" test_aborted_version_blocks_swept;
           quick "uncommitted versions survive" test_uncommitted_versions_survive_gc;
+          quick "swept versions forgotten" test_collect_forgets_swept_versions;
         ] );
       ( "reshare",
         [

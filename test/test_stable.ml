@@ -18,6 +18,11 @@ let expect name pred (o : 'a S.outcome) =
   | Ok _ -> Alcotest.failf "%s: expected error" name
   | Error e -> Alcotest.(check bool) name true (pred e)
 
+let ok_disk (o : 'a Disk.outcome) =
+  match o.Disk.result with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "disk error: %s" (Fmt.str "%a" Disk.pp_error e)
+
 let check_invariant t =
   match S.verify_companion_invariant t with
   | Ok () -> ()
@@ -74,6 +79,82 @@ let test_corrupt_both_detected () =
   ignore (Disk.corrupt (S.disk t 0) b ~xor_byte:'\xFF');
   ignore (Disk.corrupt (S.disk t 1) b ~xor_byte:'\xFF');
   expect "both corrupt" (function S.Corrupt_both _ -> true | _ -> false) (S.read t 0 b)
+
+(* {2 The sealed image on disk} *)
+
+let golden_payload n = Bytes.init n (fun i -> Char.chr (((i * 31) + 7) land 0xFF))
+
+let raw_image t i b =
+  match (Disk.read (S.disk t i) b).Disk.result with
+  | Ok image -> image
+  | Error e -> Alcotest.failf "raw read: %s" (Fmt.str "%a" Disk.pp_error e)
+
+(* A block written [writes] times through server 0, so its seq is [writes]. *)
+let sealed_block ~writes payload =
+  let t = fresh ~blocks:4 ~block_size:2048 () in
+  let b = ok (S.allocate_write t 0 payload) in
+  for _ = 2 to writes do
+    ignore (ok (S.write t 0 b payload))
+  done;
+  (t, b)
+
+(* Magic 0x5AB1, seq, the payload's CRC-32 (all little-endian), then a
+   varint length and the payload. The CRCs are those of any standard
+   CRC-32 implementation over [golden_payload n]. *)
+let test_sealed_image_golden () =
+  List.iter
+    (fun (n, crc_bytes, varint_bytes) ->
+      let payload = golden_payload n in
+      let t, b = sealed_block ~writes:300 payload in
+      let header =
+        [ 0xB1; 0x5A; 0x2C; 0x01; 0; 0; 0; 0; 0; 0 ] @ crc_bytes @ varint_bytes
+      in
+      let expected =
+        Bytes.cat (Bytes.of_string (String.of_seq (List.to_seq (List.map Char.chr header)))) payload
+      in
+      List.iter
+        (fun i ->
+          let image = raw_image t i b in
+          Alcotest.(check int) (Printf.sprintf "%d-byte image length on disk %d" n i)
+            (Bytes.length expected) (Bytes.length image);
+          Bytes.iteri
+            (fun j c ->
+              Alcotest.(check int) (Printf.sprintf "%d-byte image, disk %d, byte %d" n i j)
+                (Char.code c) (Char.code (Bytes.get image j)))
+            expected)
+        [ 0; 1 ])
+    [ (100, [ 0xFC; 0x35; 0xA9; 0xB5 ], [ 0x64 ]); (1200, [ 0x89; 0xDA; 0x85; 0x04 ], [ 0xB0; 0x09 ]) ]
+
+let flip_byte t i b j =
+  let image = raw_image t i b in
+  Bytes.set image j (Char.chr (Char.code (Bytes.get image j) lxor 0xFF));
+  ignore (ok_disk (Disk.write (S.disk t i) b image))
+
+(* Every byte but the seq's is covered by a check: the magic, the CRC,
+   the length (a wrong one fails the CRC or runs past the image) and the
+   payload. The seq is not checksummed; a flipped one still unseals. *)
+let is_seq_byte j = j >= 2 && j < 10
+
+let test_every_byte_flip_detected () =
+  List.iter
+    (fun n ->
+      let payload = golden_payload n in
+      let image_len = Bytes.length (raw_image (fst (sealed_block ~writes:1 payload)) 0 0) in
+      for j = 0 to image_len - 1 do
+        let name = Printf.sprintf "%d-byte payload, byte %d" n j in
+        let t, b = sealed_block ~writes:1 payload in
+        let clean = raw_image t 0 b in
+        flip_byte t 0 b j;
+        Helpers.check_bytes name (Bytes.to_string payload) (ok (S.read t 0 b));
+        if not (is_seq_byte j) then
+          Alcotest.(check bool) (name ^ " repaired") true (Bytes.equal clean (raw_image t 0 b));
+        let t, b = sealed_block ~writes:1 payload in
+        flip_byte t 0 b j;
+        flip_byte t 1 b j;
+        if is_seq_byte j then Helpers.check_bytes (name ^ " both") (Bytes.to_string payload) (ok (S.read t 0 b))
+        else expect (name ^ " both") (function S.Corrupt_both _ -> true | _ -> false) (S.read t 0 b)
+      done)
+    [ 100; 1200 ]
 
 (* {2 Allocate collisions} *)
 
@@ -206,6 +287,11 @@ let () =
         [
           quick "repair from companion" test_corruption_repaired_from_companion;
           quick "both corrupt detected" test_corrupt_both_detected;
+          quick "every byte flip detected" test_every_byte_flip_detected;
+        ] );
+      ( "envelope",
+        [
+          quick "sealed image golden bytes" test_sealed_image_golden;
         ] );
       ( "collisions",
         [

@@ -286,6 +286,81 @@ let test_crc32_detects_flip () =
   Bytes.set data 3 'X';
   Alcotest.(check bool) "differs" false (crc = Wire.crc32 data)
 
+(* Bit-at-a-time CRC-32, the definition the sliced table must match. *)
+let reference_crc32 b pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let bytes_gen = QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (int_range 0 4096)))
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 equals the bytewise reference" ~count:300
+    (QCheck.make ~print:(fun b -> string_of_int (Bytes.length b)) bytes_gen)
+    (fun b -> Wire.crc32 b = reference_crc32 b 0 (Bytes.length b))
+
+let prop_crc32_sub_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      bytes_gen >>= fun b ->
+      let n = Bytes.length b in
+      int_range 0 n >>= fun pos ->
+      int_range 0 (n - pos) >|= fun len -> (b, pos, len))
+  in
+  QCheck.Test.make ~name:"crc32_sub equals the reference on a sub-range" ~count:300
+    (QCheck.make ~print:(fun (b, p, l) -> Printf.sprintf "n=%d pos=%d len=%d" (Bytes.length b) p l) gen)
+    (fun (b, pos, len) ->
+      Wire.crc32_sub b pos len = reference_crc32 b pos len
+      && Wire.crc32_sub b pos len = Wire.crc32 (Bytes.sub b pos len))
+
+let test_crc32_every_short_length () =
+  (* Lengths 0..17 cover an empty input, the bytewise tail alone, one and
+     two whole 8-byte strides and every tail after them. *)
+  let data = Bytes.init 17 (fun i -> Char.chr (((i * 73) + 11) land 0xFF)) in
+  for len = 0 to 17 do
+    Alcotest.(check int) (Printf.sprintf "length %d" len) (reference_crc32 data 0 len)
+      (Wire.crc32 (Bytes.sub data 0 len))
+  done
+
+(* Every stable read and write checksums its payload, so the loop must
+   not allocate. *)
+let test_crc32_allocates_nothing () =
+  let data = Bytes.make 4096 'z' in
+  let n = 1000 in
+  let before = Stdlib.Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Wire.crc32 data))
+  done;
+  let per_call = (Stdlib.Gc.minor_words () -. before) /. float_of_int n in
+  if per_call > 1.0 then Alcotest.failf "crc32 allocates %.1f words/call (want 0)" per_call
+
+let test_crc32_sub_rejects_bad_range () =
+  let b = Bytes.make 8 'x' in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Wire.crc32_sub") (fun () -> ignore (Wire.crc32_sub b pos len)))
+    [ (-1, 2); (0, 9); (8, 1); (3, -1) ]
+
+let prop_set_varint_matches_writer =
+  QCheck.Test.make ~name:"set_varint writes Writer.varint's bytes" ~count:300
+    QCheck.(oneof [ int_bound 300; int_bound 100_000; map abs int ])
+    (fun v ->
+      let w = Wire.Writer.create () in
+      Wire.Writer.varint w v;
+      let expected = Wire.Writer.contents w in
+      let b = Bytes.make (Wire.varint_size v + 2) '\xEE' in
+      let stop = Wire.set_varint b 1 v in
+      stop = 1 + Bytes.length expected
+      && Wire.varint_size v = Bytes.length expected
+      && Bytes.equal (Bytes.sub b 1 (Bytes.length expected)) expected
+      && Bytes.get b stop = '\xEE')
+
 (* {2 Stats} *)
 
 let test_summary_moments () =
@@ -474,6 +549,12 @@ let () =
           quick "negative varint rejected" test_wire_negative_varint_rejected;
           quick "crc32 known value" test_crc32_known_value;
           quick "crc32 detects corruption" test_crc32_detects_flip;
+          quick "crc32 every short length" test_crc32_every_short_length;
+          quick "crc32_sub rejects bad range" test_crc32_sub_rejects_bad_range;
+          quick "crc32 allocates nothing" test_crc32_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
+          QCheck_alcotest.to_alcotest prop_crc32_sub_matches_reference;
+          QCheck_alcotest.to_alcotest prop_set_varint_matches_writer;
         ] );
       ( "stats",
         [
