@@ -260,6 +260,7 @@ val forget_unreached : t -> reached:(int -> bool) -> unit
     block fails [reached], and their entries in the files' version
     indexes. The collector calls this after its sweep with its mark set,
     so pruned and aborted versions answer [No_such_version] from then
-    on. *)
+    on: their blocks are freed, and a freed block never reads back (see
+    {!Store.t}), so no stale capability can relearn them. *)
 
 val list_files : t -> Afs_util.Capability.t list

@@ -223,7 +223,10 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
           Ok ());
       read =
         (fun b ->
-          if Hashtbl.mem redirected b then lift_disk (Disk.read index b)
+          (* A freed bulk block keeps its bits; it must still read as gone,
+             as a freed block does on every other store. *)
+          if not (Hashtbl.mem allocated b) then Error (Printf.sprintf "block %d not allocated" b)
+          else if Hashtbl.mem redirected b then lift_disk (Disk.read index b)
           else lift_disk (Disk.read bulk b));
       write;
       write_batch = sequential_batch write;

@@ -15,6 +15,9 @@ type t = {
   allocate : unit -> (int, string) result;
   free : int -> (unit, string) result;
   read : int -> (bytes, string) result;
+      (** Fails on a block that is not allocated, on every backend — also
+          where the medium keeps a freed block's bits. The server relies on
+          this: a capability for a freed version must not read back. *)
   write : int -> bytes -> (unit, string) result;
   write_batch : (int * bytes) list -> (unit, string) result;
       (** The writes in order, stopping at the first error, so the durable

@@ -112,23 +112,24 @@ let seal seq ~crc payload =
   Bytes.blit payload 0 image pos n;
   image
 
-(* The CRC is checked over the payload in place; only a good payload is
-   copied out. *)
+(* The header is read back at the offsets [seal] writes it; the CRC is
+   checked over the payload in place, and only a good payload is copied
+   out. *)
 let unseal image =
-  match
-    let r = Wire.Reader.of_bytes image in
-    let m = Wire.Reader.u16 r in
-    let seq = Wire.Reader.u64 r in
-    let crc = Wire.Reader.u32 r in
-    let n = Wire.Reader.varint r in
-    let pos = Bytes.length image - Wire.Reader.remaining r in
-    if m <> magic then Error "bad magic"
-    else if n < 0 || n > Wire.Reader.remaining r then Error "truncated payload"
-    else if Wire.crc32_sub image pos n <> crc then Error "bad crc"
-    else Ok (seq, Bytes.sub image pos n)
-  with
-  | result -> result
-  | exception Wire.Decode_error msg -> Error msg
+  let len = Bytes.length image in
+  if len < header_size then Error "truncated header"
+  else if Bytes.get_uint16_le image 0 <> magic then Error "bad magic"
+  else
+    let seq = Bytes.get_int64_le image 2 in
+    let crc = Int32.to_int (Bytes.get_int32_le image 10) land 0xFFFFFFFF in
+    let r = Wire.Reader.of_bytes ~pos:header_size image in
+    match Wire.Reader.varint r with
+    | exception Wire.Decode_error msg -> Error msg
+    | n ->
+        let pos = Wire.Reader.pos r in
+        if n < 0 || n > len - pos then Error "truncated payload"
+        else if Wire.crc32_sub image pos n <> crc then Error "bad crc"
+        else Ok (seq, Bytes.sub image pos n)
 
 let next_seq t i =
   let s = t.servers.(i) in

@@ -2,6 +2,17 @@ exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
+(* Unsigned LEB128, the one varint encoding: seven bits a byte, low group
+   first, the high bit set on every byte but the last. [Writer.varint]
+   and [set_varint] both emit exactly these bytes. *)
+let varint_size v =
+  let rec go n v = if v < 0x80 then n else go (n + 1) (v lsr 7) in
+  go 1 v
+
+let varint_byte v i ~size =
+  let group = (v lsr (7 * i)) land 0x7F in
+  if i = size - 1 then group else 0x80 lor group
+
 module Writer = struct
   type t = { buf : Buffer.t }
 
@@ -22,13 +33,12 @@ module Writer = struct
       u8 t (Int64.to_int (Int64.shift_right_logical v (8 * shift)))
     done
 
-  let rec varint t v =
-    if v < 0 then invalid_arg "Wire.Writer.varint: negative"
-    else if v < 0x80 then u8 t v
-    else begin
-      u8 t (0x80 lor (v land 0x7F));
-      varint t (v lsr 7)
-    end
+  let varint t v =
+    if v < 0 then invalid_arg "Wire.Writer.varint: negative";
+    let size = varint_size v in
+    for i = 0 to size - 1 do
+      u8 t (varint_byte v i ~size)
+    done
 
   let bytes t b = Buffer.add_bytes t.buf b
 
@@ -46,7 +56,8 @@ end
 module Reader = struct
   type t = { data : bytes; mutable pos : int }
 
-  let of_bytes data = { data; pos = 0 }
+  let of_bytes ?(pos = 0) data = { data; pos }
+  let pos t = t.pos
   let remaining t = Bytes.length t.data - t.pos
 
   let u8 t =
@@ -99,18 +110,13 @@ module Reader = struct
   let expect_end t = if remaining t <> 0 then fail "trailing garbage: %d bytes" (remaining t)
 end
 
-let rec varint_size v = if v < 0x80 then 1 else 1 + varint_size (v lsr 7)
-
-let rec set_varint b pos v =
-  if v < 0 then invalid_arg "Wire.set_varint: negative"
-  else if v < 0x80 then begin
-    Bytes.set_uint8 b pos v;
-    pos + 1
-  end
-  else begin
-    Bytes.set_uint8 b pos (0x80 lor (v land 0x7F));
-    set_varint b (pos + 1) (v lsr 7)
-  end
+let set_varint b pos v =
+  if v < 0 then invalid_arg "Wire.set_varint: negative";
+  let size = varint_size v in
+  for i = 0 to size - 1 do
+    Bytes.set_uint8 b (pos + i) (varint_byte v i ~size)
+  done;
+  pos + size
 
 (* Slicing-by-8 CRC-32 (IEEE, reflected 0xEDB88320). [crc_tables] holds
    eight 256-entry tables back to back: table 0 is the classic bytewise

@@ -34,7 +34,12 @@ end
 module Reader : sig
   type t
 
-  val of_bytes : bytes -> t
+  val of_bytes : ?pos:int -> bytes -> t
+  (** A reader starting at [pos] (default 0). *)
+
+  val pos : t -> int
+  (** The offset of the next byte to read. *)
+
   val remaining : t -> int
   val u8 : t -> int
   val u16 : t -> int

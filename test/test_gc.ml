@@ -98,9 +98,11 @@ let test_uncommitted_versions_survive_gc () =
 
 (* Version records of swept versions must go with their blocks: across
    many churn-and-collect cycles the server keeps records only for the
-   retained chain and the update still in flight. *)
-let test_collect_forgets_swept_versions () =
-  let _, srv = Helpers.fresh_server () in
+   retained chain and the update still in flight, and a capability for a
+   swept version stays dead — also on the WORM store, whose freed bulk
+   blocks keep their bits. *)
+let test_collect_forgets_swept_versions store () =
+  let srv = Server.create ~seed:7 store in
   let f = Helpers.file_with_pages srv 3 in
   let created = ref [] in
   let create () =
@@ -115,10 +117,13 @@ let test_collect_forgets_swept_versions () =
          (List.sort_uniq compare !created))
   in
   let no_such_version name v =
-    match Server.version_status srv v with
+    (match Server.version_status srv v with
     | Error (Errors.No_such_version _) -> ()
     | Error e -> Alcotest.failf "%s: unexpected error %s" name (Errors.to_string e)
-    | Ok _ -> Alcotest.failf "%s: still known after collection" name
+    | Ok _ -> Alcotest.failf "%s: still known after collection" name);
+    match Server.write_page srv v (path [ 0 ]) (bytes "stale") with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s: write_page accepted after collection" name
   in
   let policy = { Gc.retain_committed = 2; reshare = true } in
   let held = ref None in
@@ -310,7 +315,10 @@ let () =
           quick "shared pages survive prune" test_shared_pages_survive_prune;
           quick "aborted versions swept" test_aborted_version_blocks_swept;
           quick "uncommitted versions survive" test_uncommitted_versions_survive_gc;
-          quick "swept versions forgotten" test_collect_forgets_swept_versions;
+          quick "swept versions forgotten" (test_collect_forgets_swept_versions (Store.memory ()));
+          quick "swept versions forgotten (worm)"
+            (test_collect_forgets_swept_versions
+               (fst (Store.worm_hybrid ~blocks:4096 ~block_size:32768 ())));
         ] );
       ( "reshare",
         [

@@ -45,7 +45,11 @@ let test_free_reclaims_index_not_bulk () =
   let s = stats () in
   Alcotest.(check int) "bulk space stays occupied" 2 s.Store.bulk_blocks;
   Alcotest.(check int) "index space reclaimed" 0 s.Store.index_blocks;
-  Alcotest.(check (list int)) "allocation table empty" [] (ok_str (store.Store.list_blocks ()))
+  Alcotest.(check (list int)) "allocation table empty" [] (ok_str (store.Store.list_blocks ()));
+  Alcotest.(check bool) "freed bulk block reads as gone" true
+    (Result.is_error (store.Store.read b1));
+  Alcotest.(check bool) "freed index block reads as gone" true
+    (Result.is_error (store.Store.read b2))
 
 let test_full_file_service_on_worm () =
   let store, stats = fresh ~block_size:32768 () in

@@ -18,11 +18,12 @@ odd ones, so slow drift of the host's speed falls on both sides alike.
 
 For every end-to-end metric BENCHMARK.json names, the report gives each
 side's median and quartiles, the change/base ratio of the medians and the
-pairs each side won (ties count for neither). For the metric given with
---metric it also applies the gain rule: the change wins at least nine
-tenths of the pairs and the medians differ by more than the base's
-interquartile range. The exit code is 0 when every run passed its
-correctness gates, 1 otherwise, 2 on a build or usage error.
+pairs each side won (ties count for neither). For host_commits_per_s it
+also applies the gain rule: the change wins at least nine tenths of the
+pairs and the medians differ by more than the base's interquartile range.
+A workload is reported only when all its runs passed their correctness
+gates. The exit code is 0 when every run passed, 1 otherwise, 2 on a
+build or usage error.
 """
 
 import argparse
@@ -35,6 +36,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GAIN_METRIC = "host_commits_per_s"
+FAILED_RUN = {"correct": False, "metrics": {}}
 
 
 def parse_args():
@@ -46,11 +49,8 @@ def parse_args():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--metric", default="host_commits_per_s",
-                   help="the metric a gain is claimed on")
     p.add_argument("--workdir", default=None,
                    help="directory to build in (default: the system's temporary directory)")
-    p.add_argument("--json", default=None, help="also write every run's metrics to this file")
     return p.parse_args()
 
 
@@ -78,7 +78,12 @@ def run_once(exe, workload, seed, seconds):
            "--trace", "0"]
     out = subprocess.run(cmd, cwd=os.path.dirname(exe), stdout=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
+    try:
+        result = json.loads(lines[-1]) if lines else dict(FAILED_RUN)
+    except ValueError:
+        result = dict(FAILED_RUN)
+    if not isinstance(result, dict):
+        result = dict(FAILED_RUN)
     result["exit"] = out.returncode
     return result
 
@@ -96,7 +101,7 @@ def directions():
     return [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
 
 
-def report(workload, runs, gain_metric):
+def report(workload, runs):
     print("\n== %s: %d pairs ==" % (workload, len(runs)))
     print("%-20s %26s %26s %7s %9s" % ("metric", "base median [q1, q3]",
                                         "change median [q1, q3]", "ratio", "wins b/c"))
@@ -113,7 +118,7 @@ def report(workload, runs, gain_metric):
         print("%-20s %10.4g [%6.4g, %6.4g] %10.4g [%6.4g, %6.4g] %7.3f %4d/%-4d%s" % (
             name, mb, b1, b3, mc, c1, c3, ratio, base_wins, change_wins,
             "  WORSE THAN BOUND %.2f" % bound if worse else ""))
-        if name == gain_metric:
+        if name == GAIN_METRIC:
             gain = (change_wins * 10 >= 9 * len(runs)) and sign * (mc - mb) > (b3 - b1)
             print("%-20s gain rule (>= 9/10 pairs won, median gap > base IQR %.4g): %s" % (
                 "", b3 - b1, "met" if gain else "NOT met"))
@@ -127,31 +132,30 @@ def main():
     try:
         exes = {side: export_and_build(rev, os.path.join(workdir, side))
                 for side, rev in (("base", args.base), ("change", args.change))}
-        all_runs = {}
-        ok = True
+        failed = []
         for workload in args.workload:
             runs = []
+            ok = True
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {}
                 for side in order:
                     pair[side] = run_once(exes[side], workload, args.seed, args.seconds)
-                    ok = ok and pair[side]["correct"] and pair[side]["exit"] == 0
+                    ok = ok and pair[side].get("correct") is True and pair[side]["exit"] == 0
                 print("%s pair %d: base %s, change %s" % (
                     workload, i + 1,
-                    pair["base"]["metrics"].get(args.metric, {}).get("value"),
-                    pair["change"]["metrics"].get(args.metric, {}).get("value")),
+                    pair["base"]["metrics"].get(GAIN_METRIC, {}).get("value"),
+                    pair["change"]["metrics"].get(GAIN_METRIC, {}).get("value")),
                     file=sys.stderr, flush=True)
                 runs.append(pair)
-            all_runs[workload] = runs
             if ok:
-                report(workload, runs, args.metric)
-        if args.json:
-            with open(args.json, "w") as f:
-                json.dump(all_runs, f, indent=1)
-        if not ok:
-            print("ab: a run failed its correctness gates", file=sys.stderr)
-        return 0 if ok else 1
+                report(workload, runs)
+            else:
+                failed.append(workload)
+        if failed:
+            print("ab: a run failed its correctness gates on: " + ", ".join(failed),
+                  file=sys.stderr)
+        return 1 if failed else 0
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
