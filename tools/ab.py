@@ -37,7 +37,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GAIN_METRIC = "host_commits_per_s"
-FAILED_RUN = {"correct": False, "metrics": {}}
 
 
 def parse_args():
@@ -79,11 +78,11 @@ def run_once(exe, workload, seed, seconds):
     out = subprocess.run(cmd, cwd=os.path.dirname(exe), stdout=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
     try:
-        result = json.loads(lines[-1]) if lines else dict(FAILED_RUN)
+        result = json.loads(lines[-1]) if lines else None
     except ValueError:
-        result = dict(FAILED_RUN)
+        result = None
     if not isinstance(result, dict):
-        result = dict(FAILED_RUN)
+        result = {"correct": False, "metrics": {}}
     result["exit"] = out.returncode
     return result
 
