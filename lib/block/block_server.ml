@@ -1,4 +1,5 @@
 module Disk = Afs_disk.Disk
+module Itbl = Afs_util.Itbl
 
 type account = int
 
@@ -31,8 +32,8 @@ module Trace = Afs_trace.Trace
 type t = {
   disk : Disk.t;
   policy : allocation_policy;
-  owners : (int, account) Hashtbl.t;
-  locks : (int, account) Hashtbl.t;
+  owners : account Itbl.t;
+  locks : account Itbl.t;
   mutable free_count : int;
   mutable next_hint : int;
   mutable trace : Trace.t;
@@ -42,8 +43,8 @@ let create ?(policy = Sequential) ?(trace = Trace.null) ~disk () =
   {
     disk;
     policy;
-    owners = Hashtbl.create 1024;
-    locks = Hashtbl.create 64;
+    owners = Itbl.create 1024;
+    locks = Itbl.create 64;
     free_count = Disk.block_count disk;
     next_hint = 0;
     trace;
@@ -56,12 +57,12 @@ let set_trace t tr =
 let disk t = t.disk
 let block_size t = Disk.block_size t.disk
 let free_blocks t = t.free_count
-let allocated_blocks t = Hashtbl.length t.owners
+let allocated_blocks t = Itbl.length t.owners
 
 let ok ?(cost = request_overhead_ms) v = { result = Ok v; cost_ms = cost }
 let fail ?(cost = request_overhead_ms) e = { result = Error e; cost_ms = cost }
 
-let is_free t b = not (Hashtbl.mem t.owners b)
+let is_free t b = not (Itbl.mem t.owners b)
 
 let find_free_sequential t =
   let n = Disk.block_count t.disk in
@@ -95,7 +96,7 @@ let allocate t account =
     match candidate with
     | None -> fail No_free_blocks
     | Some b ->
-        Hashtbl.replace t.owners b account;
+        Itbl.replace t.owners b account;
         t.free_count <- t.free_count - 1;
         t.next_hint <- (b + 1) mod Disk.block_count t.disk;
         ok b
@@ -104,19 +105,19 @@ let allocate_at t account b =
   if b < 0 || b >= Disk.block_count t.disk then fail (Not_allocated b)
   else if not (is_free t b) then fail (Not_allocated b)
   else begin
-    Hashtbl.replace t.owners b account;
+    Itbl.replace t.owners b account;
     t.free_count <- t.free_count - 1;
     ok ()
   end
 
 let check_owner t account b =
-  match Hashtbl.find_opt t.owners b with
+  match Itbl.find_opt t.owners b with
   | None -> Error (Not_allocated b)
   | Some owner when owner <> account -> Error (Not_owner { block = b; owner; caller = account })
   | Some _ -> Ok ()
 
 let check_lock t account b =
-  match Hashtbl.find_opt t.locks b with
+  match Itbl.find_opt t.locks b with
   | Some holder when holder <> account -> Error (Locked { block = b; holder })
   | _ -> Ok ()
 
@@ -127,8 +128,8 @@ let deallocate t account b =
       match check_lock t account b with
       | Error e -> fail e
       | Ok () ->
-          Hashtbl.remove t.owners b;
-          Hashtbl.remove t.locks b;
+          Itbl.remove t.owners b;
+          Itbl.remove t.locks b;
           t.free_count <- t.free_count + 1;
           (* Erase is refused on write-once media; the block simply stays
              unreferenced there, as §6 expects for optical stores. *)
@@ -165,7 +166,7 @@ let lock t account b =
   match check_owner t account b with
   | Error e -> fail e
   | Ok () -> (
-      match Hashtbl.find_opt t.locks b with
+      match Itbl.find_opt t.locks b with
       | Some holder when holder <> account ->
           note false;
           fail (Locked { block = b; holder })
@@ -173,24 +174,24 @@ let lock t account b =
           note true;
           ok () (* Re-entrant for the same account. *)
       | None ->
-          Hashtbl.replace t.locks b account;
+          Itbl.replace t.locks b account;
           note true;
           ok ())
 
 let unlock t account b =
-  match Hashtbl.find_opt t.locks b with
+  match Itbl.find_opt t.locks b with
   | None -> fail (Not_locked b)
   | Some holder when holder <> account -> fail (Locked { block = b; holder })
   | Some _ ->
-      Hashtbl.remove t.locks b;
+      Itbl.remove t.locks b;
       ok ()
 
-let locked_by t b = Hashtbl.find_opt t.locks b
+let locked_by t b = Itbl.find_opt t.locks b
 
 let owned_blocks t account =
-  Hashtbl.fold (fun b owner acc -> if owner = account then b :: acc else acc) t.owners []
+  Itbl.fold (fun b owner acc -> if owner = account then b :: acc else acc) t.owners []
   |> List.sort compare
 
-let owner_of t b = Hashtbl.find_opt t.owners b
+let owner_of t b = Itbl.find_opt t.owners b
 
-let clear_locks t = Hashtbl.reset t.locks
+let clear_locks t = Itbl.reset t.locks

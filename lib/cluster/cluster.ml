@@ -41,6 +41,10 @@ type t = {
   conns : Remote.conn array;
   router : Router.t;
   counters : Stats.Counter.t;
+  (* Shard i's "shard<i>.commits" cell, resolved once: [note_load] runs
+     on every commit, and formatting plus hashing the name each time
+     cost more than the count. *)
+  shard_commits : int ref Lazy.t array;
   loads : (int * int, load) Hashtbl.t;
   seeds : int array;
   config : config;
@@ -95,6 +99,9 @@ let create ?latency_ms ?proc_ms ?cache_capacity ?group_commit
     conns = Array.map (fun s -> Remote.connect [ Shard.host s ]) shards;
     router;
     counters;
+    shard_commits =
+      Array.init n (fun i ->
+          lazy (Stats.Counter.handle counters (Printf.sprintf "shard%d.commits" i)));
     loads = Hashtbl.create 64;
     seeds;
     config = { latency_ms; proc_ms; cache_capacity; group_commit; trace };
@@ -125,7 +132,7 @@ let create_file_direct t ?(data = Bytes.empty) () =
   Server.create_file (Shard.server (place t)) ~data ()
 
 let note_load t ~shard file =
-  Stats.Counter.incr t.counters (Printf.sprintf "shard%d.commits" (Shard.id shard));
+  Stats.Counter.bump t.shard_commits.(Shard.id shard);
   let key = (Capability.port_to_int file.Capability.port, file.Capability.obj) in
   match Hashtbl.find_opt t.loads key with
   | Some l -> l.count <- l.count + 1
@@ -136,7 +143,6 @@ let drain_loads t =
   Hashtbl.reset t.loads;
   List.rev entries
 
-let shard_commits t i = Stats.Counter.get t.counters (Printf.sprintf "shard%d.commits" i)
 let migrations t = Stats.Counter.get t.counters "migrations"
 
 (* {2 Replication} *)

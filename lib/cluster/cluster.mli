@@ -82,7 +82,6 @@ val drain_loads : t -> (Afs_util.Capability.t * int) list
 (** Per-file committed-update counts since the last drain, in a
     deterministic (port, obj) order; resets the window. *)
 
-val shard_commits : t -> int -> int
 val migrations : t -> int
 
 (** {2 Replication and failover} *)

@@ -1,15 +1,16 @@
 module Pagepath = Afs_util.Pagepath
 module Capability = Afs_util.Capability
+module Itbl = Afs_util.Itbl
 
 open Errors
 
 module Flag_cache = struct
-  type t = (int, Pagepath.t list) Hashtbl.t
+  type t = Pagepath.t list Itbl.t
 
-  let create () : t = Hashtbl.create 64
+  let create () : t = Itbl.create 64
 
   let write_set t server ~version_block =
-    match Hashtbl.find_opt t version_block with
+    match Itbl.find_opt t version_block with
     | Some paths -> Ok paths
     | None ->
         (* [Server.written_set] reads the incremental administration when
@@ -17,10 +18,10 @@ module Flag_cache = struct
            falls back to the flag walk otherwise. Memoised either way:
            committed versions are immutable. *)
         let* paths = Server.written_set server version_block in
-        Hashtbl.replace t version_block paths;
+        Itbl.replace t version_block paths;
         Ok paths
 
-  let entries t = Hashtbl.length t
+  let entries t = Itbl.length t
 end
 
 type validation = {
@@ -99,12 +100,12 @@ let server_validate ?flag_cache server ~file ~basis_block =
 
 type file_entry = { mutable basis_block : int; mutable pages : bytes Pagepath.Map.t }
 
-type t = { server : Server.t; files : (int, file_entry) Hashtbl.t }
+type t = { server : Server.t; files : file_entry Itbl.t }
 
-let create server = { server; files = Hashtbl.create 16 }
+let create server = { server; files = Itbl.create 16 }
 
 let entry_for t file_obj basis =
-  match Hashtbl.find_opt t.files file_obj with
+  match Itbl.find_opt t.files file_obj with
   | Some e when e.basis_block = basis -> e
   | Some e ->
       e.basis_block <- basis;
@@ -112,7 +113,7 @@ let entry_for t file_obj basis =
       e
   | None ->
       let e = { basis_block = basis; pages = Pagepath.Map.empty } in
-      Hashtbl.replace t.files file_obj e;
+      Itbl.replace t.files file_obj e;
       e
 
 let put t ~file ~basis_block ~path ~data =
@@ -120,15 +121,15 @@ let put t ~file ~basis_block ~path ~data =
   e.pages <- Pagepath.Map.add path (Bytes.copy data) e.pages
 
 let get t ~file ~path =
-  match Hashtbl.find_opt t.files file.Capability.obj with
+  match Itbl.find_opt t.files file.Capability.obj with
   | None -> None
   | Some e -> Option.map Bytes.copy (Pagepath.Map.find_opt path e.pages)
 
 let basis t ~file =
-  Option.map (fun e -> e.basis_block) (Hashtbl.find_opt t.files file.Capability.obj)
+  Option.map (fun e -> e.basis_block) (Itbl.find_opt t.files file.Capability.obj)
 
 let pages_cached t ~file =
-  match Hashtbl.find_opt t.files file.Capability.obj with
+  match Itbl.find_opt t.files file.Capability.obj with
   | None -> 0
   | Some e -> Pagepath.Map.cardinal e.pages
 
@@ -144,7 +145,7 @@ let drop_subtree pages bad =
   List.fold_left (fun m p -> Pagepath.Map.remove p m) pages doomed
 
 let revalidate ?flag_cache t ~file =
-  match Hashtbl.find_opt t.files file.Capability.obj with
+  match Itbl.find_opt t.files file.Capability.obj with
   | None ->
       let* current_block = Server.current_block_of_file t.server file in
       ignore (entry_for t file.Capability.obj current_block);

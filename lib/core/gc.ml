@@ -1,3 +1,5 @@
+module Itbl = Afs_util.Itbl
+
 open Errors
 
 type policy = { retain_committed : int; reshare : bool }
@@ -91,9 +93,9 @@ let reshare_version server vblock =
 
 let mark_tree ps marked root =
   let rec mark block =
-    if Hashtbl.mem marked block then Ok ()
+    if Itbl.mem marked block then Ok ()
     else begin
-      Hashtbl.replace marked block ();
+      Itbl.replace marked block ();
       match Pagestore.read ps block with
       | Error _ -> Ok () (* Unreadable (e.g. freshly allocated): keep it marked. *)
       | Ok page ->
@@ -124,7 +126,7 @@ let roots_of_server server =
 
 let live_blocks server =
   let ps = Server.pagestore server in
-  let marked = Hashtbl.create 1024 in
+  let marked = Itbl.create 1024 in
   let* roots = roots_of_server server in
   let rec mark_all = function
     | [] -> Ok marked
@@ -209,7 +211,7 @@ let collect ?(policy = default_policy) server =
   phase "prune" versions_pruned;
   (* Mark from the post-prune roots, then sweep. *)
   let* marked = live_blocks server in
-  phase "mark" (Hashtbl.length marked);
+  phase "mark" (Itbl.length marked);
   let* all =
     match (Pagestore.store ps).Store.list_blocks () with
     | Ok l -> Ok l
@@ -218,19 +220,19 @@ let collect ?(policy = default_policy) server =
   let freed = ref 0 in
   List.iter
     (fun b ->
-      if not (Hashtbl.mem marked b) then begin
+      if not (Itbl.mem marked b) then begin
         Pagestore.free ps b;
         incr freed
       end)
     all;
-  Server.forget_unreached server ~reached:(Hashtbl.mem marked);
+  Server.forget_unreached server ~reached:(Itbl.mem marked);
   phase "sweep" !freed;
   Ok
     {
       versions_pruned;
       pages_reshared = reshared;
       blocks_freed = !freed;
-      blocks_live = Hashtbl.length marked;
+      blocks_live = Itbl.length marked;
     })
 
 let background ?policy engine server ~period_ms ~until_ms =

@@ -43,7 +43,7 @@ val collect : ?policy:policy -> Server.t -> stats Errors.r
     retention window, mark from every file's retained chain and
     uncommitted versions, sweep the store's allocated blocks. *)
 
-val live_blocks : Server.t -> (int, unit) Hashtbl.t Errors.r
+val live_blocks : Server.t -> unit Afs_util.Itbl.t Errors.r
 (** The mark phase alone (exposed for the safety property test: GC must
     never free a block in this set). *)
 

@@ -1,37 +1,52 @@
 module Lru = Afs_util.Lru
 module Stats = Afs_util.Stats
-module Det = Afs_util.Det
+module Itbl = Afs_util.Itbl
 
 (* [stale] marks a clean entry whose block must be re-read from the
    store before it is believed (set by {!refresh}/{!invalidate}, the
    §3.1 cache-integrity points). The re-read compares the store image
    against the page's memoized encoding: commit references are almost
    always unchanged, and an identical image means the cached decoded
-   page — and its memo — can be reused without re-parsing. *)
-type entry = { mutable page : Page.t; mutable dirty : bool; mutable stale : bool }
+   page — and its memo — can be reused without re-parsing. [hit] is
+   always [Ok page], built once per page change ({!set_page}) so a cache
+   hit returns it without allocating. *)
+type entry = {
+  mutable page : Page.t;
+  mutable hit : Page.t Errors.r;
+  mutable dirty : bool;
+  mutable stale : bool;
+}
+
+let entry ~dirty page = { page; hit = Ok page; dirty; stale = false }
+
+let set_page e page =
+  e.page <- page;
+  e.hit <- Ok page
 
 type t = {
   store : Store.t;
   cache_enabled : bool;
   capacity : int;
-  cache : (int, entry) Lru.t;
+  cache : entry Lru.t;
   (* Blocks held under a store lock: their cache entries are pinned so the
      commit critical section never loses its block to eviction. *)
-  locked : (int, unit) Hashtbl.t;
+  locked : unit Itbl.t;
   (* The dirty set, mirrored from the entries' [dirty] bits. [flush] runs
      at the head of every commit, so it must be O(pages written), not
      O(cache capacity): folding a 4k-entry cache to find half a dozen
      dirty pages was the single largest CPU cost in million-transaction
      runs. *)
-  dirty : (int, unit) Hashtbl.t;
+  dirty : unit Itbl.t;
   counters : Stats.Counter.t;
-  (* Resolved-once cells for the per-read counters, forced at first bump
-     so untouched counters stay out of the table exactly as with
-     [Counter.incr]. The generic string-keyed bump costs a string hash
-     per call, which the cache hit path pays tens of times per
-     transaction. *)
+  (* Resolved-once cells for the per-read and per-eviction counters,
+     forced at first bump so untouched counters stay out of the table
+     exactly as with [Counter.incr]. The generic string-keyed bump costs
+     a string hash per call, which the cache hit path pays tens of times
+     per transaction. *)
   hits : int ref Lazy.t;
   misses : int ref Lazy.t;
+  evictions : int ref Lazy.t;
+  writebacks : int ref Lazy.t;
 }
 
 let default_capacity = 4096
@@ -44,18 +59,19 @@ let create ?(cache = true) ?(capacity = default_capacity) ?counters store =
     cache_enabled = cache;
     capacity;
     cache = Lru.create ~capacity;
-    locked = Hashtbl.create 4;
-    dirty = Hashtbl.create 64;
+    locked = Itbl.create 4;
+    dirty = Itbl.create 64;
     counters;
     hits = lazy (Stats.Counter.handle counters "cache.hits");
     misses = lazy (Stats.Counter.handle counters "cache.misses");
+    evictions = lazy (Stats.Counter.handle counters "cache.evictions");
+    writebacks = lazy (Stats.Counter.handle counters "cache.writebacks");
   }
 
 let store t = t.store
 let page_size_limit t = t.store.Store.block_size
 let capacity t = t.capacity
 let counters t = t.counters
-let bump ?by t name = Stats.Counter.incr ?by t.counters name
 
 let allocate t =
   match t.store.Store.allocate () with
@@ -83,8 +99,8 @@ let rec evict_excess t =
             match store_write t b e.page with
             | Ok () ->
                 e.dirty <- false;
-                Hashtbl.remove t.dirty b;
-                bump t "cache.writebacks";
+                Itbl.remove t.dirty b;
+                Stats.Counter.bump t.writebacks;
                 Ok ()
             | Error _ as err -> err
           else Ok ()
@@ -92,7 +108,7 @@ let rec evict_excess t =
         (match write_back with
         | Ok () ->
             Lru.remove t.cache b;
-            bump t "cache.evictions";
+            Stats.Counter.bump t.evictions;
             evict_excess t
         | Error _ as err -> err)
 
@@ -101,11 +117,11 @@ let rec evict_excess t =
    was taken). *)
 let cache_set t b entry =
   Lru.set t.cache b entry;
-  if Hashtbl.mem t.locked b then ignore (Lru.pin t.cache b);
+  if Itbl.mem t.locked b then ignore (Lru.pin t.cache b);
   evict_excess t
 
 let drop_entry_raw t b =
-  Hashtbl.remove t.dirty b;
+  Itbl.remove t.dirty b;
   Lru.remove t.cache b
 
 (* Re-read a stale entry's block. An image identical to the cached
@@ -119,30 +135,30 @@ let revalidate t b (e : entry) =
       drop_entry_raw t b;
       Error (Errors.Store_failure msg)
   | Ok image -> (
-      let r = Lazy.force t.misses in
-      r := !r + 1;
+      Stats.Counter.bump t.misses;
       match Page.memoized_image e.page with
       | Some memo when Bytes.equal memo image ->
           e.stale <- false;
-          Ok e.page
+          e.hit
       | _ -> (
           match Page.decode ~memo:true image with
           | Error msg -> Error (Errors.Store_failure msg)
           | Ok page ->
-              e.page <- page;
+              set_page e page;
               e.stale <- false;
-              Ok page))
+              e.hit))
 
+(* The hit path allocates nothing: the LRU promotion relinks existing
+   nodes and the result is the entry's prebuilt [hit]. *)
 let read t b =
-  match if t.cache_enabled then Lru.find t.cache b else None with
-  | Some e ->
+  match if t.cache_enabled then Lru.find t.cache b else raise Not_found with
+  | e ->
       if e.stale then revalidate t b e
       else begin
-        let r = Lazy.force t.hits in
-        r := !r + 1;
-        Ok e.page
+        Stats.Counter.bump t.hits;
+        e.hit
       end
-  | None -> (
+  | exception Not_found -> (
       match t.store.Store.read b with
       | Error msg -> Error (Errors.Store_failure msg)
       | Ok image -> (
@@ -154,9 +170,8 @@ let read t b =
           | Error msg -> Error (Errors.Store_failure msg)
           | Ok page ->
               if t.cache_enabled then begin
-                let r = Lazy.force t.misses in
-                r := !r + 1;
-                match cache_set t b { page; dirty = false; stale = false } with
+                Stats.Counter.bump t.misses;
+                match cache_set t b (entry ~dirty:false page) with
                 | Ok () -> Ok page
                 | Error _ as e -> e
               end
@@ -175,15 +190,15 @@ let write t b page =
       if not t.cache_enabled then store_write t b page
       else (
         match Lru.find t.cache b with
-        | Some e ->
-            if not e.dirty then Hashtbl.replace t.dirty b ();
-            e.page <- page;
+        | e ->
+            if not e.dirty then Itbl.replace t.dirty b ();
+            set_page e page;
             e.dirty <- true;
             e.stale <- false;
             Ok ()
-        | None ->
-            Hashtbl.replace t.dirty b ();
-            cache_set t b { page; dirty = true; stale = false })
+        | exception Not_found ->
+            Itbl.replace t.dirty b ();
+            cache_set t b (entry ~dirty:true page))
 
 let write_through t b page =
   match check_size t page with
@@ -192,8 +207,8 @@ let write_through t b page =
       match store_write t b page with
       | Error _ as e -> e
       | Ok () ->
-          Hashtbl.remove t.dirty b;
-          if t.cache_enabled then cache_set t b { page; dirty = false; stale = false } else Ok ())
+          Itbl.remove t.dirty b;
+          if t.cache_enabled then cache_set t b (entry ~dirty:false page) else Ok ())
 
 let flush_block t b =
   match Lru.peek t.cache b with
@@ -202,7 +217,7 @@ let flush_block t b =
       | Error _ as err -> err
       | Ok () ->
           e.dirty <- false;
-          Hashtbl.remove t.dirty b;
+          Itbl.remove t.dirty b;
           Ok ())
   | Some { dirty = false; _ } | None -> Ok ()
 
@@ -213,26 +228,26 @@ let flush t =
     | [] -> Ok ()
     | b :: rest -> ( match flush_block t b with Ok () -> go rest | Error _ as e -> e)
   in
-  if Hashtbl.length t.dirty = 0 then Ok () else go (Det.sorted_keys t.dirty)
+  if Itbl.length t.dirty = 0 then Ok () else go (Itbl.sorted_keys t.dirty)
 
-let dirty_count t = Hashtbl.length t.dirty
+let dirty_count t = Itbl.length t.dirty
 
 let lock t b =
   if t.store.Store.lock b then begin
-    Hashtbl.replace t.locked b ();
+    Itbl.replace t.locked b ();
     ignore (Lru.pin t.cache b);
     true
   end
   else false
 
 let unlock t b =
-  Hashtbl.remove t.locked b;
+  Itbl.remove t.locked b;
   Lru.unpin t.cache b;
   t.store.Store.unlock b
 
 let drop_volatile t =
   Lru.clear t.cache;
-  Hashtbl.reset t.dirty
+  Itbl.reset t.dirty
 
 let drop_entry t b = drop_entry_raw t b
 
@@ -274,10 +289,10 @@ let write_through_batch t entries =
           let rec settle = function
             | [] -> Ok ()
             | (b, page) :: rest -> (
-                Hashtbl.remove t.dirty b;
+                Itbl.remove t.dirty b;
                 if not t.cache_enabled then settle rest
                 else
-                  match cache_set t b { page; dirty = false; stale = false } with
+                  match cache_set t b (entry ~dirty:false page) with
                   | Ok () -> settle rest
                   | Error _ as e -> e)
           in

@@ -1,7 +1,7 @@
 module Capability = Afs_util.Capability
 module Pagepath = Afs_util.Pagepath
 module Stats = Afs_util.Stats
-module Det = Afs_util.Det
+module Itbl = Afs_util.Itbl
 module Trace = Afs_trace.Trace
 
 open Errors
@@ -26,7 +26,7 @@ type file_record = {
   file_obj : int;  (** Even-numbered object: 2 * first version block. *)
   mutable current_hint : int;
   mutable oldest_hint : int;  (** Oldest retained committed version. *)
-  uncommitted : (int, unit) Hashtbl.t;  (** Version-page blocks. *)
+  uncommitted : unit Itbl.t;  (** Version-page blocks. *)
   (* Every version block ever registered for this file, newest first:
      destroying the file walks this list instead of every version the
      server knows about. *)
@@ -38,8 +38,10 @@ type file_record = {
    runs for the two-phase-commit baseline. *)
 type commit_ctx = {
   deferred : bool;  (** False: publish inside the validate lock (single commit). *)
-  held : (int, unit) Hashtbl.t;  (** Store locks this pipeline run holds. *)
-  pending : (int, int) Hashtbl.t;
+  mutable held : int list;
+      (** Store locks this pipeline run holds, ascending: the release
+          order. Almost always one block, so a list beats a table. *)
+  mutable pending : (int * int) list;
       (** Winning test-and-sets not yet durable: base block → successor.
           The overlay later batch members' validates read first. *)
   mutable publish_refs : (int * Page.t) list;  (** Newest first. *)
@@ -52,11 +54,46 @@ type commit_ctx = {
 let fresh_ctx ~deferred () =
   {
     deferred;
-    held = Hashtbl.create 4;
-    pending = Hashtbl.create 4;
+    held = [];
+    pending = [];
     publish_refs = [];
     winners = [];
     unions = [];
+  }
+
+(* Resolved-once cells for the counters the request path bumps, forced at
+   the first bump (see [Stats.Counter.bump]); rarer events keep the
+   string-keyed [bump]. *)
+type hot_counters = {
+  ok : int ref Lazy.t;
+  fastpath : int ref Lazy.t;
+  merged : int ref Lazy.t;
+  intercepted : int ref Lazy.t;
+  shortcircuit : int ref Lazy.t;
+  conflict : int ref Lazy.t;
+  lock_retries : int ref Lazy.t;
+  batches : int ref Lazy.t;
+  batch_members : int ref Lazy.t;
+  pages_visited : int ref Lazy.t;
+  pages_copied : int ref Lazy.t;
+  versions_created : int ref Lazy.t;
+}
+
+let hot_counters counters =
+  let cell name = lazy (Stats.Counter.handle counters name) in
+  {
+    ok = cell "commits.ok";
+    fastpath = cell "commits.fastpath";
+    merged = cell "commits.merged";
+    intercepted = cell "commits.intercepted";
+    shortcircuit = cell "commits.shortcircuit";
+    conflict = cell "commits.conflict";
+    lock_retries = cell "commits.lock_retries";
+    batches = cell "commits.batches";
+    batch_members = cell "commits.batch_members";
+    pages_visited = cell "serialise.pages_visited";
+    pages_copied = cell "pages.copied";
+    versions_created = cell "versions.created";
   }
 
 type t = {
@@ -64,12 +101,13 @@ type t = {
   secret : Capability.secret;
   server_port : Capability.port;
   port_registry : Ports.t;
-  files : (int, file_record) Hashtbl.t;
-  versions : (int, version_record) Hashtbl.t;  (** Keyed by version block. *)
+  files : file_record Itbl.t;
+  versions : version_record Itbl.t;  (** Keyed by version block. *)
   (* File objects explicitly destroyed: lazy learning must not resurrect
      them from their still-on-disk pages before the GC sweeps. *)
-  destroyed : (int, unit) Hashtbl.t;
+  destroyed : unit Itbl.t;
   counters : Stats.Counter.t;
+  hot : hot_counters;
   name : string;
   (* Commit batch window advertised to the RPC front end: 1 = commit each
      request by itself (the paper's behaviour), n > 1 = let up to n queued
@@ -91,7 +129,7 @@ type t = {
      retained) awaiting the coordinator's [decide]. Keyed by version
      block. Volatile: a crash discards every entry and frees its locks —
      presumed abort. *)
-  prepared : (int, commit_ctx * version_record) Hashtbl.t;
+  prepared : (commit_ctx * version_record) Itbl.t;
 }
 
 let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name = "")
@@ -107,16 +145,17 @@ let create ?(page_cache = true) ?cache_capacity ?(seed = 0xA40EBA) ?ports ?(name
     secret = Capability.secret_of_seed seed;
     server_port = Capability.port_of_int (seed land 0xFFFFFFFFFFFF);
     port_registry;
-    files = Hashtbl.create 64;
-    versions = Hashtbl.create 256;
-    destroyed = Hashtbl.create 8;
+    files = Itbl.create 64;
+    versions = Itbl.create 256;
+    destroyed = Itbl.create 8;
     counters;
+    hot = hot_counters counters;
     name;
     group_commit;
     lock_backoff;
     publish_tap;
     trace;
-    prepared = Hashtbl.create 4;
+    prepared = Itbl.create 4;
   }
 
 let name t = t.name
@@ -160,22 +199,22 @@ let validate_cap t cap ~need =
   else Error Invalid_capability
 
 let fresh_file_record ~file_obj ~current ~oldest ~vblocks =
-  { file_obj; current_hint = current; oldest_hint = oldest; uncommitted = Hashtbl.create 4; vblocks }
+  { file_obj; current_hint = current; oldest_hint = oldest; uncommitted = Itbl.create 4; vblocks }
 
 (* Register a version block in its file's index (creating the file record
    when the file itself has not been seen yet). *)
 let index_version t ~file_obj ~vblock =
-  match Hashtbl.find_opt t.files file_obj with
+  match Itbl.find_opt t.files file_obj with
   | Some f -> f.vblocks <- vblock :: f.vblocks
   | None ->
-      Hashtbl.replace t.files file_obj
+      Itbl.replace t.files file_obj
         (fresh_file_record ~file_obj ~current:vblock ~oldest:vblock ~vblocks:[ vblock ])
 
 (* Like versions, files can be learned lazily from the store: the file
    capability's object number is derived from its first version block. *)
 let learn_file t cap =
   let first = cap.Capability.obj / 2 in
-  if Hashtbl.mem t.destroyed cap.Capability.obj then Error (No_such_file cap.Capability.obj)
+  if Itbl.mem t.destroyed cap.Capability.obj then Error (No_such_file cap.Capability.obj)
   else
   match Pagestore.read t.ps first with
   | Error _ -> Error (No_such_file cap.Capability.obj)
@@ -188,7 +227,7 @@ let learn_file t cap =
             fresh_file_record ~file_obj:cap.Capability.obj ~current:first ~oldest:first
               ~vblocks:[]
           in
-          Hashtbl.replace t.files cap.Capability.obj f;
+          Itbl.replace t.files cap.Capability.obj f;
           Ok f
       | _ -> Error (No_such_file cap.Capability.obj))
 
@@ -197,7 +236,7 @@ let find_file t cap ~need =
   let obj = cap.Capability.obj in
   if obj land 1 = 1 then Error Invalid_capability
   else
-    match Hashtbl.find_opt t.files obj with
+    match Itbl.find_opt t.files obj with
     | Some f -> Ok f
     | None -> learn_file t cap
 
@@ -215,7 +254,7 @@ let learn_version t cap =
       (match (page.Page.header.Page.version_cap, page.Page.header.Page.file_cap) with
       | Some vc, Some fc
         when vc.Capability.obj = cap.Capability.obj
-             && not (Hashtbl.mem t.destroyed fc.Capability.obj) ->
+             && not (Itbl.mem t.destroyed fc.Capability.obj) ->
           let committed =
             page.Page.header.Page.commit_ref <> None
             ||
@@ -236,7 +275,7 @@ let learn_version t cap =
               wset = None;
             }
           in
-          Hashtbl.replace t.versions vblock v;
+          Itbl.replace t.versions vblock v;
           index_version t ~file_obj:fc.Capability.obj ~vblock;
           Ok v
       | _ -> Error (No_such_version cap.Capability.obj))
@@ -246,7 +285,7 @@ let find_version t cap ~need =
   let obj = cap.Capability.obj in
   if obj land 1 = 0 then Error Invalid_capability
   else
-    match Hashtbl.find_opt t.versions (obj / 2) with
+    match Itbl.find_opt t.versions (obj / 2) with
     | Some v -> Ok v
     | None -> learn_version t cap
 
@@ -279,7 +318,7 @@ let rec chase_current t block =
 let update_wset (v : version_record) f = v.wset <- Option.map f v.wset
 
 let update_wset_at t vblock f =
-  match Hashtbl.find_opt t.versions vblock with
+  match Itbl.find_opt t.versions vblock with
   | Some v -> update_wset v f
   | None -> ()
 
@@ -327,7 +366,7 @@ let copy_child t pblock index (entry : Page.ref_entry) =   let* child = read_pg 
   in
   let* parent = lift_page_err Pagepath.root (Page.with_ref parent index copied_entry) in
   let* () = write_pg t pblock parent in
-  bump t "pages.copied";
+  Stats.Counter.bump t.hot.pages_copied;
   Ok fresh
 
 (* Descend [path] from the version page at [vblock], copying every page on
@@ -377,9 +416,9 @@ let create_file t ?(data = Bytes.empty) () =
       ~refs:[||] ~data
   in
   let* () = Pagestore.write_through t.ps vb page in
-  Hashtbl.replace t.files (file_obj_of_block vb)
+  Itbl.replace t.files (file_obj_of_block vb)
     (fresh_file_record ~file_obj:(file_obj_of_block vb) ~current:vb ~oldest:vb ~vblocks:[ vb ]);
-  Hashtbl.replace t.versions vb
+  Itbl.replace t.versions vb
     { vblock = vb; file_obj = file_obj_of_block vb; status = Committed; wset = Some Writeset.empty };
   bump t "files.created";
   Ok file_cap
@@ -408,7 +447,7 @@ let committed_chain t cap =
 
 let uncommitted_versions t cap =
   let* file = find_file t cap ~need:Capability.rights_none in
-  Ok (Det.sorted_keys file.uncommitted)
+  Ok (Itbl.sorted_keys file.uncommitted)
 
 (* {2 Versions} *)
 
@@ -455,11 +494,11 @@ let create_version ?(respect_hints = false) ?(updater_port = 0) ?(holding_port =
       ~data:cpage.Page.data
   in
   let* () = write_pg t vb vpage in
-  Hashtbl.replace t.versions vb
+  Itbl.replace t.versions vb
     { vblock = vb; file_obj = file.file_obj; status = Uncommitted; wset = Some Writeset.empty };
   file.vblocks <- vb :: file.vblocks;
-  Hashtbl.replace file.uncommitted vb ();
-  bump t "versions.created";
+  Itbl.replace file.uncommitted vb ();
+  Stats.Counter.bump t.hot.versions_created;
   Ok version_cap
 
 let version_status t cap =
@@ -471,7 +510,7 @@ let version_block t cap =
   Ok v.vblock
 
 let version_of_block t block =
-  match Hashtbl.find_opt t.versions block with
+  match Itbl.find_opt t.versions block with
   | Some v -> Ok (mint_version_cap t v.vblock)
   | None -> Error (No_such_version (version_obj_of_block block))
 
@@ -490,7 +529,7 @@ let free_private_pages t vblock =   let rec free_copies page =
   (match read_pg t vblock with Ok page -> free_copies page | Error _ -> ());
   Pagestore.free t.ps vblock
 
-let forget_uncommitted file vblock = Hashtbl.remove file.uncommitted vblock
+let forget_uncommitted file vblock = Itbl.remove file.uncommitted vblock
 
 let destroy_file t cap =
   let* file = find_file t cap ~need:Capability.right_destroy in
@@ -499,25 +538,25 @@ let destroy_file t cap =
      no longer a root. *)
   List.iter
     (fun vb ->
-      match Hashtbl.find_opt t.versions vb with
+      match Itbl.find_opt t.versions vb with
       | Some v when v.status = Uncommitted ->
           free_private_pages t vb;
           v.status <- Aborted;
           v.wset <- None
       | _ -> ())
-    (Det.sorted_keys file.uncommitted);
+    (Itbl.sorted_keys file.uncommitted);
   (* Only this file's own version index is walked — not every version the
      server knows about. A freed block may since have been reused by
      another file, hence the ownership check. *)
   List.iter
     (fun vb ->
-      match Hashtbl.find_opt t.versions vb with
+      match Itbl.find_opt t.versions vb with
       | Some (v : version_record) when v.file_obj = file.file_obj ->
-          Hashtbl.remove t.versions vb
+          Itbl.remove t.versions vb
       | _ -> ())
     file.vblocks;
-  Hashtbl.remove t.files file.file_obj;
-  Hashtbl.replace t.destroyed file.file_obj ();
+  Itbl.remove t.files file.file_obj;
+  Itbl.replace t.destroyed file.file_obj ();
   bump t "files.destroyed";
   Ok ()
 
@@ -526,7 +565,7 @@ let abort_version t cap =
   match v.status with
   | Committed | Aborted -> Error Version_not_mutable
   | Uncommitted ->
-      (match Hashtbl.find_opt t.files v.file_obj with
+      (match Itbl.find_opt t.files v.file_obj with
       | Some file -> forget_uncommitted file v.vblock
       | None -> ());
       free_private_pages t v.vblock;
@@ -705,7 +744,7 @@ let acquire_commit_lock t ctx block =
   (* Re-entrant within one pipeline run: a deferred batch keeps its locks
      until publish, and a later member may chain onto a block an earlier
      member already locked. *)
-  if Hashtbl.mem ctx.held block then Ok ()
+  if List.mem block ctx.held then Ok ()
   else
     (* The critical section is a handful of in-memory operations;
        contention can only come from another server physically sharing
@@ -713,12 +752,12 @@ let acquire_commit_lock t ctx block =
        nothing, a bounded spin as in this single-threaded harness). *)
     let rec attempt n =
       if Pagestore.lock t.ps block then begin
-        Hashtbl.replace ctx.held block ();
+        ctx.held <- List.merge Int.compare [ block ] ctx.held;
         Ok ()
       end
       else if n >= lock_retry_limit then Error (Store_failure "commit lock contention")
       else begin
-        bump t "commits.lock_retries";
+        Stats.Counter.bump t.hot.lock_retries;
         t.lock_backoff n;
         attempt (n + 1)
       end
@@ -726,17 +765,22 @@ let acquire_commit_lock t ctx block =
     attempt 0
 
 let release_commit_lock t ctx block =
-  Hashtbl.remove ctx.held block;
+  ctx.held <- List.filter (fun b -> b <> block) ctx.held;
   Pagestore.unlock t.ps block
+
+let release_all_locks t ctx =
+  let held = ctx.held in
+  ctx.held <- [];
+  List.iter (Pagestore.unlock t.ps) held
 
 let finish_commit t v =
   v.status <- Committed;
-  (match Hashtbl.find_opt t.files v.file_obj with
+  (match Itbl.find_opt t.files v.file_obj with
   | Some file ->
       file.current_hint <- v.vblock;
       forget_uncommitted file v.vblock
   | None -> ());
-  bump t "commits.ok"
+  Stats.Counter.bump t.hot.ok
 
 (* Stage 1 — the test-and-set of [base_block]'s commit reference, under
    the store lock. [Ok None] = won; [Ok (Some s)] = intercepted by [s].
@@ -744,7 +788,7 @@ let finish_commit t v =
    it through, and keeps the lock for publish. *)
 let validate t ctx ~vb base_block =   let* () = acquire_commit_lock t ctx base_block in
   let outcome =
-    match Hashtbl.find_opt ctx.pending base_block with
+    match List.assoc_opt base_block ctx.pending with
     | Some successor -> Ok (Some successor)
     | None -> (
         Pagestore.invalidate t.ps base_block;
@@ -755,7 +799,7 @@ let validate t ctx ~vb base_block =   let* () = acquire_commit_lock t ctx base_b
             let header = { bpage.Page.header with Page.commit_ref = Some vb } in
             let page = Page.with_header bpage header in
             if ctx.deferred then begin
-              Hashtbl.replace ctx.pending base_block vb;
+              ctx.pending <- (base_block, vb) :: ctx.pending;
               ctx.publish_refs <- (base_block, page) :: ctx.publish_refs;
               Ok None
             end
@@ -771,7 +815,7 @@ let validate t ctx ~vb base_block =   let* () = acquire_commit_lock t ctx base_b
   outcome
 
 let abandon t (v : version_record) outcome_name =
-  (match Hashtbl.find_opt t.files v.file_obj with
+  (match Itbl.find_opt t.files v.file_obj with
   | Some file -> forget_uncommitted file v.vblock
   | None -> ());
   free_private_pages t v.vblock;
@@ -786,7 +830,7 @@ type merge_verdict = Rebased | Doomed of string
    then the serialisability tree walk that rebases the candidate.
    [Rebased] means retry the test-and-set at the successor. *)
 let merge t v ~successor =   let vb = v.vblock in
-  bump t "commits.intercepted";
+  Stats.Counter.bump t.hot.intercepted;
   (* When both sides carry the incremental administration, the §5.2
      conflict conditions can be decided from the two flag maps alone —
      disjoint (or merely read-shared) updates are told apart without
@@ -797,25 +841,25 @@ let merge t v ~successor =   let vb = v.vblock in
     match v.wset with
     | None -> None
     | Some candidate -> (
-        match Hashtbl.find_opt t.versions successor with
+        match Itbl.find_opt t.versions successor with
         | Some { wset = Some committed; _ } -> Writeset.conflict ~candidate ~committed
         | _ -> None)
   in
   match precheck with
   | Some _ ->
-      bump t "commits.shortcircuit";
-      bump t "commits.conflict";
+      Stats.Counter.bump t.hot.shortcircuit;
+      Stats.Counter.bump t.hot.conflict;
       Ok (Doomed "shortcircuit")
   | None -> (
       tpoint t (Trace.Commit_phase { vblock = vb; phase = "serialise" });
       match Serialise.test_and_merge t.ps ~candidate:vb ~committed:successor with
       | Error e -> Error e
       | Ok (Serialise.Conflict { stats; _ }) ->
-          bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
-          bump t "commits.conflict";
+          Stats.Counter.bump ~by:stats.Serialise.pages_visited t.hot.pages_visited;
+          Stats.Counter.bump t.hot.conflict;
           Ok (Doomed "conflict")
       | Ok (Serialise.Serialisable stats) ->
-          bump t ~by:stats.Serialise.pages_visited "serialise.pages_visited";
+          Stats.Counter.bump ~by:stats.Serialise.pages_visited t.hot.pages_visited;
           tpoint t (Trace.Commit_phase { vblock = vb; phase = "merge" });
           let* () = Pagestore.flush t.ps in
           Ok Rebased)
@@ -840,9 +884,9 @@ let publish t ctx =
   (match result with
   | Ok () -> List.iter (finish_commit t) (List.rev ctx.winners)
   | Error _ -> ());
-  List.iter (fun b -> release_commit_lock t ctx b) (Det.sorted_keys ctx.held);
+  release_all_locks t ctx;
   ctx.publish_refs <- [];
-  Hashtbl.reset ctx.pending;
+  ctx.pending <- [];
   result
 
 (* Record an admitted batch winner: publication is deferred, and its
@@ -886,10 +930,10 @@ let commit_version t ctx v =
       in
       match batch_conflict with
       | Some _ ->
-          bump t "commits.intercepted";
+          Stats.Counter.bump t.hot.intercepted;
           tpoint t (Trace.Commit_phase { vblock = vb; phase = "pretest" });
-          bump t "commits.shortcircuit";
-          bump t "commits.conflict";
+          Stats.Counter.bump t.hot.shortcircuit;
+          Stats.Counter.bump t.hot.conflict;
           abandon t v "shortcircuit"
       | None ->
           let rec attempt base_block =
@@ -897,7 +941,7 @@ let commit_version t ctx v =
             | Error e -> Error e
             | Ok None ->
                 let outcome_name = if base_block = base0 then "fastpath" else "merged" in
-                bump t (if base_block = base0 then "commits.fastpath" else "commits.merged");
+                Stats.Counter.bump (if base_block = base0 then t.hot.fastpath else t.hot.merged);
                 tpoint t (Trace.Commit_outcome { vblock = vb; outcome = outcome_name });
                 if ctx.deferred then begin
                   note_batch_winner ctx v;
@@ -922,13 +966,13 @@ let commit_batch t caps =
   match caps with
   | [] -> []
   | [ cap ] ->
-      bump t "commits.batches";
-      bump t "commits.batch_members";
+      Stats.Counter.bump t.hot.batches;
+      Stats.Counter.bump t.hot.batch_members;
       [ commit t cap ]
   | caps ->
       let size = List.length caps in
-      bump t "commits.batches";
-      bump t ~by:size "commits.batch_members";
+      Stats.Counter.bump t.hot.batches;
+      Stats.Counter.bump ~by:size t.hot.batch_members;
       let ctx = fresh_ctx ~deferred:true () in
       Trace.span t.trace ~kind:"commit_batch" ~label:t.name (fun () ->
           let results =
@@ -978,15 +1022,15 @@ let drop_ctx t ctx =
   ctx.publish_refs <- [];
   ctx.winners <- [];
   ctx.unions <- [];
-  Hashtbl.reset ctx.pending;
-  List.iter (fun b -> release_commit_lock t ctx b) (Det.sorted_keys ctx.held)
+  ctx.pending <- [];
+  release_all_locks t ctx
 
 let prepare t cap =
   let* v = mutable_version t cap ~need:Capability.right_commit in
   let ctx = fresh_ctx ~deferred:true () in
   match commit_version t ctx v with
   | Ok () ->
-      Hashtbl.replace t.prepared v.vblock (ctx, v);
+      Itbl.replace t.prepared v.vblock (ctx, v);
       bump t "commits.prepared";
       Ok ()
   | Error e ->
@@ -998,14 +1042,14 @@ let prepare t cap =
 let decide t cap ~commit =
   let* () = validate_cap t cap ~need:Capability.right_commit in
   let vblock = cap.Capability.obj / 2 in
-  match Hashtbl.find_opt t.prepared vblock with
+  match Itbl.find_opt t.prepared vblock with
   | None ->
       (* Presumed abort: an abort decision for state this server no
          longer holds (crash, duplicate decide) is trivially satisfied; a
          commit decision cannot be honoured. *)
       if commit then Error (Store_failure "2pc: version not prepared") else Ok ()
   | Some (ctx, v) ->
-      Hashtbl.remove t.prepared vblock;
+      Itbl.remove t.prepared vblock;
       if commit then publish t ctx
       else begin
         drop_ctx t ctx;
@@ -1021,18 +1065,18 @@ let decide t cap ~commit =
 let crash t =
   (* Prepared-but-undecided 2PC state is volatile: presumed abort. Free
      the held locks before the store drops its volatile layers. *)
-  Det.iter_sorted (fun _ (ctx, _) -> drop_ctx t ctx) t.prepared;
-  Hashtbl.reset t.prepared;
+  Itbl.iter_sorted (fun _ (ctx, _) -> drop_ctx t ctx) t.prepared;
+  Itbl.reset t.prepared;
   Pagestore.drop_volatile t.ps;
   (* Uncommitted versions are volatile by design. *)
-  Det.iter_sorted
+  Itbl.iter_sorted
     (fun _ v ->
       if v.status = Uncommitted then begin
         v.status <- Aborted;
         v.wset <- None
       end)
     t.versions;
-  Det.iter_sorted (fun _ f -> Hashtbl.reset f.uncommitted) t.files;
+  Itbl.iter_sorted (fun _ f -> Itbl.reset f.uncommitted) t.files;
   tpoint t (Trace.Crash { component = "server"; what = "crash" });
   bump t "server.crashes"
 
@@ -1045,24 +1089,24 @@ let recover_from_blocks t blocks =
         | Ok _ | Error _ -> None)
       blocks
   in
-  let by_file = Hashtbl.create 32 in
+  let by_file = Itbl.create 32 in
   List.iter
     (fun (b, page) ->
       match page.Page.header.Page.file_cap with
       | Some fc ->
-          let existing = Option.value ~default:[] (Hashtbl.find_opt by_file fc.Capability.obj) in
-          Hashtbl.replace by_file fc.Capability.obj ((b, page) :: existing)
+          let existing = Option.value ~default:[] (Itbl.find_opt by_file fc.Capability.obj) in
+          Itbl.replace by_file fc.Capability.obj ((b, page) :: existing)
       | None -> ())
     version_pages;
   let recovered = ref 0 in
-  Det.iter_sorted
+  Itbl.iter_sorted
     (fun file_obj pages ->
       match List.find_opt (fun (_, p) -> p.Page.header.Page.base_ref = None) pages with
       | None -> () (* No chain root among these blocks: cannot recover. *)
       | Some (first, _) ->
           let chain = ref [] in
           let rec register block =
-            Hashtbl.replace t.versions block
+            Itbl.replace t.versions block
               { vblock = block; file_obj; status = Committed; wset = None };
             chain := block :: !chain;
             match read_pg t block with
@@ -1073,7 +1117,7 @@ let recover_from_blocks t blocks =
             | Error _ -> block
           in
           let current = register first in
-          Hashtbl.replace t.files file_obj
+          Itbl.replace t.files file_obj
             (fresh_file_record ~file_obj ~current ~oldest:first ~vblocks:!chain);
           incr recovered)
     by_file;
@@ -1087,12 +1131,12 @@ let recover_from_blocks t blocks =
    server maintained one (O(pages written)), by the flag walk otherwise
    (O(tree) fallback for learned/recovered versions). *)
 let written_set t block =
-  match Hashtbl.find_opt t.versions block with
+  match Itbl.find_opt t.versions block with
   | Some { wset = Some ws; _ } -> Ok (Writeset.written_paths ws)
   | Some { wset = None; _ } | None -> Serialise.written_paths t.ps ~version:block
 
 let tracked_writeset t block =
-  match Hashtbl.find_opt t.versions block with
+  match Itbl.find_opt t.versions block with
   | Some v -> v.wset
   | None -> None
 
@@ -1125,10 +1169,10 @@ let note_pruned_chain t cap ~new_oldest =
    mark reached that block. Uncommitted and retained versions are mark
    roots, so they survive. *)
 let forget_unreached t ~reached =
-  Hashtbl.filter_map_inplace
+  Itbl.filter_map_inplace
     (fun vb v -> if v.status <> Aborted && reached vb then Some v else None)
     t.versions;
-  Det.iter_sorted (fun _ f -> f.vblocks <- List.filter (Hashtbl.mem t.versions) f.vblocks) t.files
+  Itbl.iter_sorted (fun _ f -> f.vblocks <- List.filter (Itbl.mem t.versions) f.vblocks) t.files
 
 let list_files t =
-  List.rev (Det.fold_sorted (fun _ f acc -> mint_file_cap t (f.file_obj / 2) :: acc) t.files [])
+  List.rev (Itbl.fold_sorted (fun _ f acc -> mint_file_cap t (f.file_obj / 2) :: acc) t.files [])

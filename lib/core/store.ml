@@ -1,5 +1,6 @@
 module Block_server = Afs_block.Block_server
 module Stable_pair = Afs_stable.Stable_pair
+module Itbl = Afs_util.Itbl
 
 type t = {
   block_size : int;
@@ -55,16 +56,44 @@ let sequential_batch write entries =
   in
   go entries
 
-let memory ?(block_size = 32768) () =
-  let blocks : (int, bytes) Hashtbl.t = Hashtbl.create 1024 in
-  let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let locks : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let next = ref 0 in
-  let write b data =
-    if Bytes.length data > block_size then Error "block too large"
+(* The commit section's test-and-set locks, for backends with no lock of
+   their own. *)
+let lock_table () =
+  let locks : unit Itbl.t = Itbl.create 16 in
+  let lock b =
+    if Itbl.mem locks b then false
     else begin
-      Hashtbl.replace allocated b ();
-      Hashtbl.replace blocks b (Bytes.copy data);
+      Itbl.replace locks b ();
+      true
+    end
+  in
+  (lock, Itbl.remove locks)
+
+(* Block numbers come from a counter, so the memory store needs no hash:
+   two arrays indexed by block number hold the image ([unwritten] until
+   the first write) and the allocation bit, both doubling when the
+   counter reaches their end. *)
+let memory ?(block_size = 32768) () =
+  let unwritten = Bytes.create 0 in
+  let images = ref (Array.make 1024 unwritten) in
+  let allocated = ref (Bytes.make 1024 '\000') in
+  let lock, unlock = lock_table () in
+  let next = ref 0 in
+  let is_allocated b = b >= 0 && b < !next && Bytes.get !allocated b <> '\000' in
+  let grow () =
+    let n = Array.length !images in
+    let bigger = Array.make (2 * n) unwritten in
+    Array.blit !images 0 bigger 0 n;
+    images := bigger;
+    allocated := Bytes.extend !allocated 0 n;
+    Bytes.fill !allocated n n '\000'
+  in
+  let write b data =
+    if not (is_allocated b) then Error (Printf.sprintf "block %d not allocated" b)
+    else if Bytes.length data > block_size then Error "block too large"
+    else begin
+      (* A fresh copy, so never physically [unwritten]. *)
+      !images.(b) <- Bytes.copy data;
       Ok ()
     end
   in
@@ -73,31 +102,32 @@ let memory ?(block_size = 32768) () =
     allocate =
       (fun () ->
         let b = !next in
+        if b = Array.length !images then grow ();
         incr next;
-        Hashtbl.replace allocated b ();
+        Bytes.set !allocated b '\001';
         Ok b);
     free =
       (fun b ->
-        Hashtbl.remove blocks b;
-        Hashtbl.remove allocated b;
+        if is_allocated b then begin
+          Bytes.set !allocated b '\000';
+          !images.(b) <- unwritten
+        end;
         Ok ());
     read =
       (fun b ->
-        match Hashtbl.find_opt blocks b with
-        | Some data -> Ok (Bytes.copy data)
-        | None -> Error (Printf.sprintf "block %d never written" b));
+        if not (is_allocated b) then Error (Printf.sprintf "block %d not allocated" b)
+        else if !images.(b) == unwritten then Error (Printf.sprintf "block %d never written" b)
+        else Ok (Bytes.copy !images.(b)));
     write;
     write_batch = sequential_batch write;
-    lock =
-      (fun b ->
-        if Hashtbl.mem locks b then false
-        else begin
-          Hashtbl.replace locks b ();
-          true
-        end);
-    unlock = (fun b -> Hashtbl.remove locks b);
+    lock;
+    unlock;
     list_blocks =
-      (fun () -> Ok (List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) allocated [])));
+      (fun () ->
+        let rec scan b acc =
+          if b < 0 then acc else scan (b - 1) (if is_allocated b then b :: acc else acc)
+        in
+        Ok (scan (!next - 1) []));
   }
 
 let string_of_block_error = Fmt.str "%a" Block_server.pp_error
@@ -131,8 +161,8 @@ let of_stable_pair pair =
      here, colocated with the routing. A real deployment would put it in
      the block servers (§5.2: "if the disk server implements a test-and-set
      operation, any server can be allowed to carry out a commit"). *)
-  let locks : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let lock, unlock = lock_table () in
+  let allocated : unit Itbl.t = Itbl.create 1024 in
   let via f =
     match Stable_pair.some_online pair with
     | None -> Error "no stable server online"
@@ -150,29 +180,22 @@ let of_stable_pair pair =
         via (fun i ->
             match lift (Stable_pair.allocate_write pair i Bytes.empty) with
             | Ok b ->
-                Hashtbl.replace allocated b ();
+                Itbl.replace allocated b ();
                 Ok b
             | Error _ as e -> e));
     free =
       (fun b ->
         via (fun i ->
-            Hashtbl.remove allocated b;
+            Itbl.remove allocated b;
             lift (Stable_pair.free pair i b)));
     read = (fun b -> via (fun i -> lift (Stable_pair.read pair i b)));
     write = (fun b data -> via (fun i -> lift (Stable_pair.write pair i b data)));
     (* The whole batch rides one A→B→A round trip: the companion hop is
        charged once however many commit references the batch carries. *)
     write_batch = (fun entries -> via (fun i -> lift (Stable_pair.write_batch pair i entries)));
-    lock =
-      (fun b ->
-        if Hashtbl.mem locks b then false
-        else begin
-          Hashtbl.replace locks b ();
-          true
-        end);
-    unlock = (fun b -> Hashtbl.remove locks b);
-    list_blocks =
-      (fun () -> Ok (List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) allocated [])));
+    lock;
+    unlock;
+    list_blocks = (fun () -> Ok (Itbl.sorted_keys allocated));
   }
 
 type worm_stats = {
@@ -187,17 +210,18 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
   let module Disk = Afs_disk.Disk in
   let bulk = Disk.create ~media:bulk_media ~blocks ~block_size () in
   let index = Disk.create ~media:index_media ~blocks ~block_size () in
-  let redirected : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let allocated : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let locks : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let redirected : unit Itbl.t = Itbl.create 64 in
+  let allocated : unit Itbl.t = Itbl.create 1024 in
+  let lock, unlock = lock_table () in
   let next = ref 0 in
   let lift_disk : type a. a Disk.outcome -> (a, string) result =
    fun o -> Result.map_error (Fmt.str "%a" Disk.pp_error) o.Disk.result
   in
   let write b data =
-    if Hashtbl.mem redirected b then lift_disk (Disk.write index b data)
+    if not (Itbl.mem allocated b) then Error (Printf.sprintf "block %d not allocated" b)
+    else if Itbl.mem redirected b then lift_disk (Disk.write index b data)
     else if Disk.is_written bulk b then begin
-      Hashtbl.replace redirected b ();
+      Itbl.replace redirected b ();
       lift_disk (Disk.write index b data)
     end
     else lift_disk (Disk.write bulk b data)
@@ -209,15 +233,15 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
         (fun () ->
           let b = !next in
           incr next;
-          Hashtbl.replace allocated b ();
+          Itbl.replace allocated b ();
           Ok b);
       free =
         (fun b ->
-          Hashtbl.remove allocated b;
+          Itbl.remove allocated b;
           (* Bulk space is write-once and stays occupied; index space is
              reclaimable. *)
-          if Hashtbl.mem redirected b then begin
-            Hashtbl.remove redirected b;
+          if Itbl.mem redirected b then begin
+            Itbl.remove redirected b;
             ignore (Disk.erase index b)
           end;
           Ok ());
@@ -225,22 +249,14 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
         (fun b ->
           (* A freed bulk block keeps its bits; it must still read as gone,
              as a freed block does on every other store. *)
-          if not (Hashtbl.mem allocated b) then Error (Printf.sprintf "block %d not allocated" b)
-          else if Hashtbl.mem redirected b then lift_disk (Disk.read index b)
+          if not (Itbl.mem allocated b) then Error (Printf.sprintf "block %d not allocated" b)
+          else if Itbl.mem redirected b then lift_disk (Disk.read index b)
           else lift_disk (Disk.read bulk b));
       write;
       write_batch = sequential_batch write;
-      lock =
-        (fun b ->
-          if Hashtbl.mem locks b then false
-          else begin
-            Hashtbl.replace locks b ();
-            true
-          end);
-      unlock = (fun b -> Hashtbl.remove locks b);
-      list_blocks =
-        (fun () ->
-          Ok (List.sort compare (Hashtbl.fold (fun b () acc -> b :: acc) allocated [])));
+      lock;
+      unlock;
+      list_blocks = (fun () -> Ok (Itbl.sorted_keys allocated));
     }
   in
   let stats () =
@@ -249,7 +265,7 @@ let worm_hybrid ?(bulk_media = Afs_disk.Media.optical)
       bulk_writes = b.Disk.writes;
       bulk_blocks = b.Disk.blocks_in_use;
       index_writes = ix.Disk.writes;
-      index_blocks = Hashtbl.length redirected;
+      index_blocks = Itbl.length redirected;
     }
   in
   (store, stats)

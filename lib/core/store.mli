@@ -19,6 +19,10 @@ type t = {
           where the medium keeps a freed block's bits. The server relies on
           this: a capability for a freed version must not read back. *)
   write : int -> bytes -> (unit, string) result;
+      (** Fails on a block that is not allocated, on every backend: a
+          write never allocates, so a freed block stays freed and out of
+          {!field:list_blocks}. The stable pair checks the allocation view
+          of the server the write is routed to, as {!field:read} does. *)
   write_batch : (int * bytes) list -> (unit, string) result;
       (** The writes in order, stopping at the first error, so the durable
           state is always a prefix of the batch. Plain backends perform
@@ -47,7 +51,9 @@ val apply_ops : t -> op list -> (unit, string) result
     stable-pair replica pays its companion hop once per run of writes. *)
 
 val memory : ?block_size:int -> unit -> t
-(** Unbounded in-memory store (default block size 32768). *)
+(** Unbounded in-memory store (default block size 32768). Blocks are
+    numbered by a counter and never reused, so the store is a pair of
+    arrays indexed by block number that double as the counter grows. *)
 
 val of_block_server :
   Afs_block.Block_server.t -> account:Afs_block.Block_server.account -> t

@@ -2,7 +2,7 @@ module Disk = Afs_disk.Disk
 module Media = Afs_disk.Media
 module Wire = Afs_util.Wire
 module Xrng = Afs_util.Xrng
-module Det = Afs_util.Det
+module Itbl = Afs_util.Itbl
 
 type id = int
 
@@ -33,10 +33,10 @@ type server = {
   disk : Disk.t;
   (* This server's view of the allocation state. Views can diverge while a
      companion is down and are reconciled by [restart]. *)
-  allocated : (int, unit) Hashtbl.t;
-  tentative : (int, unit) Hashtbl.t;
+  allocated : unit Itbl.t;
+  tentative : unit Itbl.t;
   (* Blocks written while the companion was down, to replay at recovery. *)
-  intentions : (int, unit) Hashtbl.t;
+  intentions : unit Itbl.t;
   mutable up : bool;
   mutable recovered : bool;
   mutable seq : int64;
@@ -55,9 +55,9 @@ type t = {
 let make_server ~trace ~media ~blocks ~block_size =
   {
     disk = Disk.create ~trace ~media ~blocks ~block_size ();
-    allocated = Hashtbl.create 256;
-    tentative = Hashtbl.create 16;
-    intentions = Hashtbl.create 16;
+    allocated = Itbl.create 256;
+    tentative = Itbl.create 16;
+    intentions = Itbl.create 16;
     up = true;
     recovered = true;
     seq = 0L;
@@ -146,7 +146,7 @@ let check_serving t i =
   else if not s.recovered then Error (Recovering i)
   else Ok s
 
-let is_taken s b = Hashtbl.mem s.allocated b || Hashtbl.mem s.tentative b
+let is_taken s b = Itbl.mem s.allocated b || Itbl.mem s.tentative b
 
 let tentative_allocate t i =
   match check_serving t i with
@@ -165,10 +165,10 @@ let tentative_allocate t i =
       (match probe 16 with
       | None -> fail No_free_blocks
       | Some b ->
-          Hashtbl.replace s.tentative b ();
+          Itbl.replace s.tentative b ();
           ok b)
 
-let abort_tentative t i b = Hashtbl.remove t.servers.(i).tentative b
+let abort_tentative t i b = Itbl.remove t.servers.(i).tentative b
 
 let shadow_write_crc t ~primary ~fresh b payload ~crc =
   let q = companion primary in
@@ -179,7 +179,7 @@ let shadow_write_crc t ~primary ~fresh b payload ~crc =
          tentative choices. A shadow write for a block the companion has
          itself handed out (to a different allocation) is a collision,
          caught before either primary copy is written. *)
-      if Hashtbl.mem s.tentative b || (fresh && Hashtbl.mem s.allocated b) then
+      if Itbl.mem s.tentative b || (fresh && Itbl.mem s.allocated b) then
         fail ~cost:hop_ms (Collision b)
       else begin
         let seq = next_seq t q in
@@ -188,7 +188,7 @@ let shadow_write_crc t ~primary ~fresh b payload ~crc =
         match result with
         | Error e -> fail ~cost (Disk_error e)
         | Ok () ->
-            Hashtbl.replace s.allocated b ();
+            Itbl.replace s.allocated b ();
             leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms:cost;
             ok ~cost seq
       end
@@ -205,8 +205,8 @@ let raw_local_write t i b payload ~crc seq =
   match result with
   | Error e -> fail ~cost:cost_ms (Disk_error e)
   | Ok () ->
-      Hashtbl.remove s.tentative b;
-      Hashtbl.replace s.allocated b ();
+      Itbl.remove s.tentative b;
+      Itbl.replace s.allocated b ();
       leg t ~leg:"local" ~server:i ~block:b ~cost_ms;
       ok ~cost:cost_ms ()
 
@@ -228,7 +228,7 @@ let write_via t i b payload ~require_allocated =
   match check_serving t i with
   | Error e -> fail e
   | Ok s ->
-      if require_allocated && not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
+      if require_allocated && not (Itbl.mem s.allocated b) then fail (Not_allocated b)
       else begin
         let q = companion i in
         let crc = Wire.crc32 payload in
@@ -242,7 +242,7 @@ let write_via t i b payload ~require_allocated =
         else begin
           (* Companion down: write locally, leave an intention so the
              companion restores this block when it comes back. *)
-          Hashtbl.replace s.intentions b ();
+          Itbl.replace s.intentions b ();
           match local_write t i b payload ~crc with
           | { result = Ok (); cost_ms } -> ok ~cost:cost_ms ()
           | { result = Error e; cost_ms } -> fail ~cost:cost_ms e
@@ -266,7 +266,7 @@ let write_batch t i entries =
       match check_serving t i with
       | Error e -> fail e
       | Ok s -> (
-          match List.find_opt (fun (b, _) -> not (Hashtbl.mem s.allocated b)) entries with
+          match List.find_opt (fun (b, _) -> not (Itbl.mem s.allocated b)) entries with
           | Some (b, _) -> fail (Not_allocated b)
           | None ->
               let q = companion i in
@@ -276,7 +276,7 @@ let write_batch t i entries =
                 let rec go cost = function
                   | [] -> ok ~cost ()
                   | (b, payload) :: rest -> (
-                      Hashtbl.replace s.intentions b ();
+                      Itbl.replace s.intentions b ();
                       match local_write t i b payload ~crc:(Wire.crc32 payload) with
                       | { result = Ok (); cost_ms } -> go (cost +. cost_ms) rest
                       | { result = Error e; cost_ms } -> fail ~cost:(cost +. cost_ms) e)
@@ -290,7 +290,7 @@ let write_batch t i entries =
                 let rec shadows acc = function
                   | [] -> Ok (List.rev acc)
                   | (b, payload) :: rest ->
-                      if Hashtbl.mem sq.tentative b then Error (Collision b)
+                      if Itbl.mem sq.tentative b then Error (Collision b)
                       else begin
                         let seq = next_seq t q in
                         let crc = Wire.crc32 payload in
@@ -299,7 +299,7 @@ let write_batch t i entries =
                         match result with
                         | Error e -> Error (Disk_error e)
                         | Ok () ->
-                            Hashtbl.replace sq.allocated b ();
+                            Itbl.replace sq.allocated b ();
                             leg t ~leg:"shadow" ~server:q ~block:b ~cost_ms;
                             shadows ((b, payload, crc, seq) :: acc) rest
                       end
@@ -359,7 +359,7 @@ let read t i b =
   match check_serving t i with
   | Error e -> fail e
   | Ok s ->
-      if not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
+      if not (Itbl.mem s.allocated b) then fail (Not_allocated b)
       else begin
         match read_raw s b with
         | Ok (_, payload), cost -> ok ~cost payload
@@ -385,18 +385,18 @@ let free t i b =
   match check_serving t i with
   | Error e -> fail e
   | Ok s ->
-      if not (Hashtbl.mem s.allocated b) then fail (Not_allocated b)
+      if not (Itbl.mem s.allocated b) then fail (Not_allocated b)
       else begin
-        Hashtbl.remove s.allocated b;
+        Itbl.remove s.allocated b;
         let _ = Disk.erase s.disk b in
         let q = companion i in
         if online t q then begin
-          Hashtbl.remove t.servers.(q).allocated b;
+          Itbl.remove t.servers.(q).allocated b;
           let _ = Disk.erase t.servers.(q).disk b in
           ok ~cost:hop_ms ()
         end
         else begin
-          Hashtbl.replace s.intentions b ();
+          Itbl.replace s.intentions b ();
           ok ()
         end
       end
@@ -411,13 +411,13 @@ let crash t i =
   s.recovered <- false;
   if Trace.enabled t.trace then
     Trace.point t.trace (Trace.Crash { component = component_name i; what = "crash" });
-  Hashtbl.reset s.tentative
+  Itbl.reset s.tentative
 
 let wipe_and_crash t i =
   crash t i;
   Disk.wipe t.servers.(i).disk;
-  Hashtbl.reset t.servers.(i).allocated;
-  Hashtbl.reset t.servers.(i).intentions
+  Itbl.reset t.servers.(i).allocated;
+  Itbl.reset t.servers.(i).intentions
 
 let restart t i =
   let s = t.servers.(i) in
@@ -436,10 +436,10 @@ let restart t i =
        block in favour of the copy with the higher sequence number. The
        companion's intentions list is a cheap summary, but after a wipe the
        full union is what restores the disk, so we always walk the union. *)
-    let candidates = Hashtbl.create 256 in
-    Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) s.allocated;
-    Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) q.allocated;
-    Det.iter_sorted (fun b () -> Hashtbl.replace candidates b ()) q.intentions;
+    let candidates = Itbl.create 256 in
+    Itbl.iter_sorted (fun b () -> Itbl.replace candidates b ()) s.allocated;
+    Itbl.iter_sorted (fun b () -> Itbl.replace candidates b ()) q.allocated;
+    Itbl.iter_sorted (fun b () -> Itbl.replace candidates b ()) q.intentions;
     let repaired = ref 0 in
     let cost = ref hop_ms in
     let repair_one b () =
@@ -458,28 +458,28 @@ let restart t i =
           note_seq t q_id seq;
           cost := !cost +. w.Disk.cost_ms;
           incr repaired
-      | Ok _, Ok _ -> Hashtbl.replace s.allocated b ()
+      | Ok _, Ok _ -> Itbl.replace s.allocated b ()
       | Error _, Ok (their_seq, payload) ->
           let r = raw_local_write t i b payload ~crc:(Wire.crc32 payload) their_seq in
           cost := !cost +. r.cost_ms;
-          Hashtbl.replace s.allocated b ();
+          Itbl.replace s.allocated b ();
           incr repaired
       | Ok (my_seq, payload), Error _ ->
           let w = Disk.write q.disk b (seal my_seq ~crc:(Wire.crc32 payload) payload) in
-          Hashtbl.replace q.allocated b ();
+          Itbl.replace q.allocated b ();
           cost := !cost +. w.Disk.cost_ms;
           incr repaired
       | Error _, Error _ ->
           (* Block lost on both sides (e.g. freed concurrently): drop it. *)
-          Hashtbl.remove s.allocated b;
-          Hashtbl.remove q.allocated b
+          Itbl.remove s.allocated b;
+          Itbl.remove q.allocated b
     in
-    Det.iter_sorted repair_one candidates;
+    Itbl.iter_sorted repair_one candidates;
     (* Both views now agree; intentions are discharged. *)
-    Det.iter_sorted (fun b () -> Hashtbl.replace s.allocated b ()) q.allocated;
-    Det.iter_sorted (fun b () -> Hashtbl.replace q.allocated b ()) s.allocated;
-    Hashtbl.reset q.intentions;
-    Hashtbl.reset s.intentions;
+    Itbl.iter_sorted (fun b () -> Itbl.replace s.allocated b ()) q.allocated;
+    Itbl.iter_sorted (fun b () -> Itbl.replace q.allocated b ()) s.allocated;
+    Itbl.reset q.intentions;
+    Itbl.reset s.intentions;
     s.recovered <- true;
     if Trace.enabled t.trace then
       Trace.point t.trace (Trace.Crash { component = component_name i; what = "recover" });
@@ -488,9 +488,9 @@ let restart t i =
 
 let verify_companion_invariant t =
   let a = t.servers.(0) and b = t.servers.(1) in
-  let union = Hashtbl.create 256 in
-  Det.iter_sorted (fun blk () -> Hashtbl.replace union blk ()) a.allocated;
-  Det.iter_sorted (fun blk () -> Hashtbl.replace union blk ()) b.allocated;
+  let union = Itbl.create 256 in
+  Itbl.iter_sorted (fun blk () -> Itbl.replace union blk ()) a.allocated;
+  Itbl.iter_sorted (fun blk () -> Itbl.replace union blk ()) b.allocated;
   let violation = ref None in
   let check blk () =
     if !violation = None then begin
@@ -501,5 +501,5 @@ let verify_companion_invariant t =
       | _ -> ()
     end
   in
-  Det.iter_sorted check union;
+  Itbl.iter_sorted check union;
   match !violation with None -> Ok () | Some msg -> Error msg

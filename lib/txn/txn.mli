@@ -76,12 +76,6 @@ val exec :
     decision even through transient transport errors (bounded patience),
     so a [failure] never hides a committed transaction. *)
 
-val resolve_in_doubt :
-  t -> patience:int -> Afs_util.Capability.t -> unit Afs_core.Errors.r
-(** Resolve one in-doubt file: read its marker, read the record, roll
-    forward or back; while the record is pending, wait [patience]
-    back-offs then force-abort it. No-op if the file is not in doubt. *)
-
 val sweep : t -> Afs_util.Capability.t list -> int Afs_core.Errors.r
 (** Crash recovery's last mile: resolve every in-doubt file in the list
     with zero patience (a still-pending coordinator is presumed dead).

@@ -1,94 +1,109 @@
-(* A bounded LRU index: hashtable for O(1) lookup, intrusive doubly-linked
-   recency list for O(1) promotion and eviction-candidate selection. The
-   structure itself never evicts — the owner asks for [lru_unpinned] and
-   removes the entry once whatever write-back the eviction requires has
-   succeeded, so a failed write-back never silently drops data. *)
+(* A bounded LRU index: an int-keyed table for O(1) lookup, intrusive
+   doubly-linked recency list for O(1) promotion and eviction-candidate
+   selection. The structure itself never evicts — the owner asks for
+   [lru_unpinned] and removes the entry once whatever write-back the
+   eviction requires has succeeded, so a failed write-back never silently
+   drops data.
 
-type ('k, 'v) node = {
-  key : 'k;
-  mutable value : 'v;
-  mutable pinned : bool;
-  mutable prev : ('k, 'v) node option;  (* towards the MRU end *)
-  mutable next : ('k, 'v) node option;  (* towards the LRU end *)
-}
+   A list link is a [cell]: [Nil] or the node itself (an inline record),
+   so relinking a node on every hit stores existing values and allocates
+   nothing, where [node option] links cost a [Some] per store. *)
 
-type ('k, 'v) t = {
+type 'v cell =
+  | Nil
+  | Node of {
+      key : int;
+      mutable value : 'v;
+      mutable pinned : bool;
+      mutable prev : 'v cell;  (* towards the MRU end *)
+      mutable next : 'v cell;  (* towards the LRU end *)
+    }
+
+type 'v t = {
   capacity : int;
-  table : ('k, ('k, 'v) node) Hashtbl.t;
-  mutable head : ('k, 'v) node option;  (* most recently used *)
-  mutable tail : ('k, 'v) node option;  (* least recently used *)
+  table : 'v cell Itbl.t;
+  mutable head : 'v cell;  (* most recently used *)
+  mutable tail : 'v cell;  (* least recently used *)
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Lru.create: capacity must be positive";
-  { capacity; table = Hashtbl.create (min capacity 1024); head = None; tail = None }
+  { capacity; table = Itbl.create (min capacity 1024); head = Nil; tail = Nil }
 
 let capacity t = t.capacity
-let length t = Hashtbl.length t.table
+let length t = Itbl.length t.table
 
 (* {2 Intrusive list plumbing} *)
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let set_prev c p = match c with Node n -> n.prev <- p | Nil -> ()
+let set_next c s = match c with Node n -> n.next <- s | Nil -> ()
 
-let push_front t n =
-  n.prev <- None;
-  n.next <- t.head;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+let unlink t = function
+  | Nil -> ()
+  | Node n ->
+      (match n.prev with Nil -> t.head <- n.next | p -> set_next p n.next);
+      (match n.next with Nil -> t.tail <- n.prev | s -> set_prev s n.prev);
+      n.prev <- Nil;
+      n.next <- Nil
 
-let touch t n =
-  match t.head with
-  | Some h when h == n -> ()
-  | _ ->
-      unlink t n;
-      push_front t n
+let push_front t c =
+  match c with
+  | Nil -> ()
+  | Node n ->
+      n.prev <- Nil;
+      n.next <- t.head;
+      (match t.head with Nil -> t.tail <- c | h -> set_prev h c);
+      t.head <- c
+
+let touch t c =
+  if t.head != c then begin
+    unlink t c;
+    push_front t c
+  end
 
 (* {2 Operations} *)
 
 let find t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some n ->
-      touch t n;
-      Some n.value
+  match Itbl.find t.table k with
+  | Node n as c ->
+      touch t c;
+      n.value
+  | Nil -> raise Not_found
 
-let peek t k = Option.map (fun n -> n.value) (Hashtbl.find_opt t.table k)
+let peek t k =
+  match Itbl.find t.table k with Node n -> Some n.value | Nil | (exception Not_found) -> None
 
-let mem t k = Hashtbl.mem t.table k
+let mem t k = Itbl.mem t.table k
 
 let set t k v =
-  match Hashtbl.find_opt t.table k with
-  | Some n ->
+  match Itbl.find t.table k with
+  | Node n as c ->
       n.value <- v;
-      touch t n
-  | None ->
-      let n = { key = k; value = v; pinned = false; prev = None; next = None } in
-      Hashtbl.replace t.table k n;
-      push_front t n
+      touch t c
+  | Nil | (exception Not_found) ->
+      let c = Node { key = k; value = v; pinned = false; prev = Nil; next = Nil } in
+      Itbl.add t.table k c;
+      push_front t c
 
 let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> ()
-  | Some n ->
-      Hashtbl.remove t.table k;
-      unlink t n
+  match Itbl.find t.table k with
+  | c ->
+      Itbl.remove t.table k;
+      unlink t c
+  | exception Not_found -> ()
 
 let pin t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> false
-  | Some n ->
+  match Itbl.find t.table k with
+  | Node n ->
       n.pinned <- true;
       true
+  | Nil | (exception Not_found) -> false
 
 let unpin t k =
-  match Hashtbl.find_opt t.table k with None -> () | Some n -> n.pinned <- false
+  match Itbl.find t.table k with Node n -> n.pinned <- false | Nil | (exception Not_found) -> ()
 
 let pinned t k =
-  match Hashtbl.find_opt t.table k with None -> false | Some n -> n.pinned
+  match Itbl.find t.table k with Node n -> n.pinned | Nil | (exception Not_found) -> false
 
 let needs_eviction t = length t > t.capacity
 
@@ -97,23 +112,20 @@ let needs_eviction t = length t > t.capacity
    commit blocks) at any time. *)
 let lru_unpinned t =
   let rec scan = function
-    | None -> None
-    | Some n -> if n.pinned then scan n.prev else Some (n.key, n.value)
+    | Nil -> None
+    | Node n -> if n.pinned then scan n.prev else Some (n.key, n.value)
   in
   scan t.tail
 
 let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None
+  Itbl.reset t.table;
+  t.head <- Nil;
+  t.tail <- Nil
 
 (* Recency order, most recent first — deterministic given a deterministic
    access sequence. *)
 let fold f t init =
-  let rec go acc = function
-    | None -> acc
-    | Some n -> go (f n.key n.value acc) n.next
-  in
+  let rec go acc = function Nil -> acc | Node n -> go (f n.key n.value acc) n.next in
   go init t.head
 
 let iter f t = fold (fun k v () -> f k v) t ()

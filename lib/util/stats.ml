@@ -119,6 +119,10 @@ module Counter = struct
         Hashtbl.add t name r;
         r
 
+  let bump ?(by = 1) cell =
+    let r = Lazy.force cell in
+    r := !r + by
+
   let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
   let to_list t =

@@ -52,6 +52,10 @@ module Counter : sig
       string key once and increment the ref directly on hot paths. Wrap
       in [lazy] to keep never-touched counters out of {!to_list}. *)
 
+  val bump : ?by:int -> int ref Lazy.t -> unit
+  (** Add [by] (default 1) to a lazily resolved {!handle}, registering the
+      counter at its first bump exactly as {!incr} would. *)
+
   val get : t -> string -> int
   val to_list : t -> (string * int) list
   (** Sorted by name. *)

@@ -24,16 +24,6 @@ let small_updates =
     page_theta = 0.0;
   }
 
-let large_updates =
-  {
-    nfiles = 4;
-    pages_per_file = 64;
-    read_pages = 16;
-    rmw_pages = 16;
-    payload_bytes = 64;
-    file_theta = 0.8;
-    page_theta = 0.8;
-  }
 
 type generator = Xrng.t -> Sut.txn_spec
 

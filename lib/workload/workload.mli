@@ -18,9 +18,6 @@ val small_updates : shape
 (** The paper's favourable regime: one-page read-modify-writes over many
     files. *)
 
-val large_updates : shape
-(** The unfavourable regime: transactions touching a large fraction of a
-    hot file. *)
 
 type generator = Afs_util.Xrng.t -> Sut.txn_spec
 

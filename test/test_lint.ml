@@ -11,6 +11,7 @@ let fixture_config =
     hashtbl_strict_units =
       [
         "lint_fixtures/d1_strict_lru.ml";
+        "lint_fixtures/d1_strict_itbl.ml";
         "lint_fixtures/d1_strict_trace";
         "lint_fixtures/d1_strict_cluster";
         "lint_fixtures/d1_strict_replica";
@@ -58,7 +59,7 @@ let scan = lazy (run [ "lint_fixtures" ])
 let test_parses_everything () =
   let r = Lazy.force scan in
   Alcotest.(check (list (pair string string))) "no unparseable fixtures" [] r.broken;
-  Alcotest.(check int) "all fixtures scanned" 27 r.files_scanned
+  Alcotest.(check int) "all fixtures scanned" 29 r.files_scanned
 
 let test_d1_ambient () =
   check_keys "one finding per ambient source, none in the exempt file"
@@ -86,6 +87,18 @@ let test_d1_strict_unit () =
   check_keys "silent once delisted"
     []
     (in_file "lint_fixtures/d1_strict_lru.ml" (run ~config [ "lint_fixtures" ]))
+
+let test_d1_itbl () =
+  (* Itbl and a unit's aliases of it are checked exactly like Hashtbl. *)
+  check_keys "unordered Itbl traversals fire, directly and through an alias"
+    [
+      ("D1", "lint_fixtures/d1_strict_itbl.ml", "Itbl.fold");
+      ("D1", "lint_fixtures/d1_strict_itbl.ml", "Blocks.iter");
+    ]
+    (in_file "lint_fixtures/d1_strict_itbl.ml" (Lazy.force scan));
+  let config = { fixture_config with Lint_types.hashtbl_strict_units = [] } in
+  check_keys "silent once delisted" []
+    (in_file "lint_fixtures/d1_strict_itbl.ml" (run ~config [ "lint_fixtures" ]))
 
 let test_d1_strict_directory () =
   (* A directory prefix in the strict-unit list (the lib/trace shape)
@@ -166,6 +179,12 @@ let test_y1 () =
       ("Y1", "lint_fixtures/proto/y1_race.ml", "Y1_race.bump_dyn/counter");
     ]
     (in_file "lint_fixtures/proto/y1_race.ml" (Lazy.force scan));
+  check_keys "an Itbl mutation of a shared field across a yield fires like a field write"
+    [
+      ("Y1", "lint_fixtures/proto/y1_itbl.ml", "Y1_itbl.bump/counter");
+      ("Y1", "lint_fixtures/proto/y1_itbl.ml", "Y1_itbl.bump_alias/counter");
+    ]
+    (in_file "lint_fixtures/proto/y1_itbl.ml" (Lazy.force scan));
   check_keys "revalidation, write-before-yield and Moved-branch writes are silent" []
     (in_file "lint_fixtures/proto/y1_ok.ml" (Lazy.force scan))
 
@@ -356,6 +375,7 @@ let () =
           Alcotest.test_case "D1 ambient sources" `Quick test_d1_ambient;
           Alcotest.test_case "D1 unordered hashtbl" `Quick test_d1_hashtbl;
           Alcotest.test_case "D1 strict units" `Quick test_d1_strict_unit;
+          Alcotest.test_case "D1 int-keyed tables" `Quick test_d1_itbl;
           Alcotest.test_case "D1 strict directories" `Quick test_d1_strict_directory;
           Alcotest.test_case "P1 partial idioms" `Quick test_p1;
           Alcotest.test_case "E1 effect safety" `Quick test_e1;

@@ -3,6 +3,8 @@
 
 module Lru = Afs_util.Lru
 
+let find l k = match Lru.find l k with v -> Some v | exception Not_found -> None
+
 let candidate l =
   match Lru.lru_unpinned l with Some (k, _) -> Some k | None -> None
 
@@ -11,7 +13,7 @@ let test_set_find_promotes () =
   Lru.set l 1 "a";
   Lru.set l 2 "b";
   Lru.set l 3 "c";
-  Alcotest.(check (option string)) "find" (Some "a") (Lru.find l 1);
+  Alcotest.(check (option string)) "find" (Some "a") (find l 1);
   (* 1 was just used: the eviction candidate is now 2. *)
   Alcotest.(check (option int)) "lru after find" (Some 2) (candidate l)
 
@@ -28,7 +30,7 @@ let test_replace_promotes () =
   Lru.set l 2 "b";
   Lru.set l 1 "a2";
   Alcotest.(check int) "length" 2 (Lru.length l);
-  Alcotest.(check (option string)) "replaced" (Some "a2") (Lru.find l 1);
+  Alcotest.(check (option string)) "replaced" (Some "a2") (find l 1);
   Alcotest.(check (option int)) "2 became lru" (Some 2) (candidate l)
 
 let test_never_self_evicts () =

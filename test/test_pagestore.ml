@@ -292,6 +292,31 @@ let test_refresh_revalidates_in_place () =
   ignore (ok (Pagestore.read ps b));
   Alcotest.(check int) "entry is fresh again" (h0 + 1) (counter ps "cache.hits")
 
+(* A cache hit promotes its LRU node by relinking existing cells and
+   returns the entry's prebuilt result: it allocates nothing. Cycling over
+   four blocks makes every hit a real promotion, not a hit on the head. *)
+let test_hit_allocates_nothing () =
+  let _, ps = fresh ~capacity:8 () in
+  let blocks =
+    Array.init 4 (fun i ->
+        let b = ok (Pagestore.allocate ps) in
+        ignore (ok (Pagestore.write_through ps b (page_with_data (string_of_int i))));
+        b)
+  in
+  (* Warm up: the hit counter is registered at its first bump. *)
+  Array.iter (fun b -> ignore (ok (Pagestore.read ps b))) blocks;
+  let n = 10_000 in
+  let hits0 = counter ps "cache.hits" in
+  let before = Stdlib.Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (Pagestore.read ps blocks.(i land 3)))
+  done;
+  let words = Stdlib.Gc.minor_words () -. before in
+  Alcotest.(check int) "all hits" n (counter ps "cache.hits" - hits0);
+  (* A few words of slack for boxing the measurement's own floats. *)
+  if words > 16.0 then
+    Alcotest.failf "cache hits allocate %.0f words over %d reads (want 0)" words n
+
 (* {2 Property: cached reads ≡ decode-from-image, under random eviction} *)
 
 (* Drive a tiny (capacity 2) pagestore with random writes, reads, flushes
@@ -394,6 +419,7 @@ let () =
           quick "eviction order is LRU" test_eviction_order_is_lru;
           quick "locked block never evicted" test_locked_block_never_evicted;
           quick "hit/miss counters" test_hit_miss_counters;
+          quick "hit allocates nothing" test_hit_allocates_nothing;
           quick "clean evictee not rewritten" test_flush_then_evict_no_second_write;
         ] );
       ( "errors",

@@ -495,6 +495,41 @@ let test_rng_fill_printable_identity () =
       Alcotest.(check int64) "RNG state advanced identically" (Xrng.bits64 b) (Xrng.bits64 a))
     [ (1, 0); (7, 1); (42, 13); (1234, 1024) ]
 
+(* {2 Itbl} *)
+
+(* The sorted helpers must walk exactly Det's order over the same keys,
+   so swapping a stdlib table for an Itbl cannot reorder any decision. *)
+let prop_itbl_sorted_matches_det =
+  QCheck.Test.make ~name:"Itbl sorted helpers walk Det's order" ~count:300
+    QCheck.(list (oneof [ int_range (-50) 5000; int ]))
+    (fun keys ->
+      let h = Hashtbl.create 8 and t = Itbl.create 8 in
+      List.iteri
+        (fun i k ->
+          Hashtbl.replace h k i;
+          Itbl.replace t k i)
+        keys;
+      let walk iter tbl =
+        let acc = ref [] in
+        iter (fun k v -> acc := (k, v) :: !acc) tbl;
+        !acc
+      in
+      let cons k v acc = (k, v) :: acc in
+      Itbl.sorted_keys t = Det.sorted_keys h
+      && walk Itbl.iter_sorted t = walk Det.iter_sorted h
+      && Itbl.fold_sorted cons t [] = Det.fold_sorted cons h [])
+
+let test_itbl_iter_sorted_skips_removed () =
+  let t = Itbl.create 4 in
+  List.iter (fun k -> Itbl.replace t k ()) [ 5; 1; 3 ];
+  let seen = ref [] in
+  Itbl.iter_sorted
+    (fun k () ->
+      seen := k :: !seen;
+      Itbl.remove t 3)
+    t;
+  Alcotest.(check (list int)) "removed mid-walk, skipped" [ 5; 1 ] !seen
+
 let () =
   Alcotest.run "util"
     [
@@ -555,6 +590,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
           QCheck_alcotest.to_alcotest prop_crc32_sub_matches_reference;
           QCheck_alcotest.to_alcotest prop_set_varint_matches_writer;
+        ] );
+      ( "itbl",
+        [
+          QCheck_alcotest.to_alcotest prop_itbl_sorted_matches_det;
+          quick "iter_sorted skips removed keys" test_itbl_iter_sorted_skips_removed;
         ] );
       ( "stats",
         [

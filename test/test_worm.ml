@@ -49,7 +49,14 @@ let test_free_reclaims_index_not_bulk () =
   Alcotest.(check bool) "freed bulk block reads as gone" true
     (Result.is_error (store.Store.read b1));
   Alcotest.(check bool) "freed index block reads as gone" true
-    (Result.is_error (store.Store.read b2))
+    (Result.is_error (store.Store.read b2));
+  (* A write never allocates: freed and never-allocated blocks refuse it
+     and stay out of the listing. *)
+  Alcotest.(check bool) "write to a freed block refused" true
+    (Result.is_error (store.Store.write b1 (bytes "back")));
+  Alcotest.(check bool) "write to a never-allocated block refused" true
+    (Result.is_error (store.Store.write 99 (bytes "new")));
+  Alcotest.(check (list int)) "still empty" [] (ok_str (store.Store.list_blocks ()))
 
 let test_full_file_service_on_worm () =
   let store, stats = fresh ~block_size:32768 () in

@@ -251,11 +251,12 @@ let rec walk_expr c (e : Parsetree.expression) =
             end
           | _ -> ())
       | _ -> ());
-      (* Hashtbl mutation of a shared container. *)
+      (* Hashtbl or Itbl mutation of a shared container. *)
       (match (head_ident fn, args) with
       | Some lid, (_, target) :: _ -> (
           match tail2 ~aliases:c.aliases (components lid) with
-          | Some ("Hashtbl", op) when List.mem op hashtbl_mutators -> (
+          | Some (m, op) when List.mem m Lint_rules.hash_tables && List.mem op hashtbl_mutators
+            -> (
               match shared_field_in ~shared:c.config.shared_state_fields target with
               | Some f ->
                   (* The Read for the field access inside [target] is

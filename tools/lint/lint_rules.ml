@@ -43,10 +43,16 @@ let banned_ambient comps =
   | "time" :: "Sys" :: _ -> Some "virtual time only: use Engine.now"
   | _ -> None
 
-let unordered_hashtbl comps =
+(* Tables whose iteration order is an accident of hashing: the stdlib
+   [Hashtbl] and the int-keyed [Afs_util.Itbl]. A unit's own module
+   aliases of either ([module T = Afs_util.Itbl]) join the list. *)
+let hash_tables = [ "Hashtbl"; "Itbl" ]
+
+let unordered_hashtbl ~tables comps =
   match tail2 comps with
-  | Some ("Hashtbl", op)
-    when List.mem op [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ] ->
+  | Some (m, op)
+    when List.mem m tables
+         && List.mem op [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ] ->
       Some op
   | _ -> None
 
@@ -88,11 +94,14 @@ type unit_facts = {
   mutable mentions_wire : bool;  (** unit references Wire / Serialise / Engine *)
   mutable has_fulfiller : bool;  (** unit contains Ivar.fill / Ivar.try_fill *)
   mutable ivar_reads : (Location.t * string) list;
+  mutable tables : string list;  (** {!hash_tables} plus this unit's aliases of them *)
 }
 
 (* First pass: whole-unit facts that gate per-site rules. *)
 let collect_facts (str : Parsetree.structure) =
-  let facts = { mentions_wire = false; has_fulfiller = false; ivar_reads = [] } in
+  let facts =
+    { mentions_wire = false; has_fulfiller = false; ivar_reads = []; tables = hash_tables }
+  in
   let note comps =
     if List.exists (fun c -> List.mem c wire_like) comps then facts.mentions_wire <- true;
     match tail2 comps with
@@ -115,6 +124,15 @@ let collect_facts (str : Parsetree.structure) =
           | Parsetree.Pmod_ident { txt; _ } -> note (components txt)
           | _ -> ());
           Ast_iterator.default_iterator.module_expr self m);
+      module_binding =
+        (fun self mb ->
+          (match (mb.Parsetree.pmb_name.txt, mb.Parsetree.pmb_expr.pmod_desc) with
+          | Some name, Parsetree.Pmod_ident { txt; _ } -> (
+              match List.rev (components txt) with
+              | real :: _ when List.mem real hash_tables -> facts.tables <- name :: facts.tables
+              | _ -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.module_binding self mb);
     }
   in
   iter.structure iter str;
@@ -145,7 +163,7 @@ let analyse (config : config) ~file (str : Parsetree.structure) =
           emit ~rule:D1 ~severity:Error ~loc ~symbol:name
             (Printf.sprintf "ambient nondeterminism: %s — %s" name fix))
         (banned_ambient comps);
-    (match unordered_hashtbl comps with
+    (match unordered_hashtbl ~tables:facts.tables comps with
     | Some _ when hashtbl_scope && !sorted_depth = 0 ->
         let why =
           if hashtbl_strict then "a determinism-critical unit"
@@ -153,7 +171,8 @@ let analyse (config : config) ~file (str : Parsetree.structure) =
         in
         emit ~rule:D1 ~severity:Error ~loc ~symbol:name
           (Printf.sprintf
-             "unordered %s in %s — iterate in sorted key order (Afs_util.Det) or sort the result"
+             "unordered %s in %s — iterate in sorted key order (Afs_util.Det, \
+              Itbl.iter_sorted) or sort the result"
              name why)
     | _ -> ());
     if p1_scope then begin
