@@ -34,18 +34,15 @@ let conn_of t shard =
   t.conns.(Shard.id shard)
 
 module Txn = struct
-  type t = { conn : Remote.conn; version : Capability.t; attempt : int }
+  type t = { conn : Remote.conn; version : Capability.t }
 
   let version t = t.version
-  let attempt t = t.attempt
   let conn t = t.conn
   let read t path = Remote.read_page t.conn t.version path
   let write t path data = Remote.write_page t.conn t.version path data
 
   let insert t ~parent ~index ?(data = Bytes.empty) () =
     Remote.insert_page t.conn t.version ~parent ~index ~data
-
-  let remove t ~parent ~index = Remote.remove_page t.conn t.version ~parent ~index
 end
 
 type handle = { file : Capability.t; shard : Shard.t; txn : Txn.t }
@@ -57,16 +54,13 @@ let learn t ~old target =
   Router.note_forward (Cluster.router t.cluster) ~old target;
   Stats.Counter.incr (Cluster.counters t.cluster) "client.forwarded"
 
-let begin_txn ?(respect_hints = false) ?(updater_port = 0) ?(attempt = 1) t file =
+let begin_txn t file =
   let rec go file hops =
     if hops > max_hops then chain_too_long
     else
       let* file, shard = Cluster.shard_of_cap t.cluster file in
-      match
-        Remote.create_version ~respect_hints ~updater_port (conn_of t shard) file
-      with
-      | Ok version ->
-          Ok { file; shard; txn = { Txn.conn = conn_of t shard; version; attempt } }
+      match Remote.create_version (conn_of t shard) file with
+      | Ok version -> Ok { file; shard; txn = { Txn.conn = conn_of t shard; version } }
       | Error (Errors.Moved target) ->
           learn t ~old:file target;
           go target (hops + 1)
@@ -83,14 +77,14 @@ let abort h = Remote.abort_version h.txn.Txn.conn h.txn.Txn.version
 
 exception Give_up of Errors.t
 
-let update ?(retries = 16) ?respect_hints ?updater_port t file body =
+let update ?(retries = 16) t file body =
   let rec attempt n =
-    match begin_txn ?respect_hints ?updater_port ~attempt:n t file with
+    match begin_txn t file with
     | Error e -> Error e
     | Ok h -> (
         let result = try body h.txn with Give_up e -> Error e in
         match result with
-        | Error Errors.Conflict when n <= retries ->
+        | Error Errors.Conflict when n < retries ->
             ignore (abort h);
             attempt (n + 1)
         | Error e ->
@@ -99,7 +93,7 @@ let update ?(retries = 16) ?respect_hints ?updater_port t file body =
         | Ok result -> (
             match commit t h with
             | Ok () -> Ok result
-            | Error Errors.Conflict when n <= retries -> attempt (n + 1)
+            | Error Errors.Conflict when n < retries -> attempt (n + 1)
             | Error e -> Error e))
   in
   attempt 1

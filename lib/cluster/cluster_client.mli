@@ -20,9 +20,6 @@ module Txn : sig
 
   val version : t -> Afs_util.Capability.t
 
-  val attempt : t -> int
-  (** 1 on the first try, incremented per conflict redo (via {!update}). *)
-
   val conn : t -> Afs_rpc.Remote.conn
   (** The owning shard's connection — what a coordinator needs to speak
       [Prepare]/[Decide] about this version (lib/workload's 2PC baseline). *)
@@ -33,17 +30,13 @@ module Txn : sig
   val insert :
     t -> parent:Afs_util.Pagepath.t -> index:int -> ?data:bytes -> unit ->
     Afs_util.Pagepath.t Afs_core.Errors.r
-
-  val remove : t -> parent:Afs_util.Pagepath.t -> index:int -> unit Afs_core.Errors.r
 end
 
 type handle = { file : Afs_util.Capability.t; shard : Shard.t; txn : Txn.t }
 (** An open transaction: the capability as resolved (post-forwarding) and
     the shard it landed on. *)
 
-val begin_txn :
-  ?respect_hints:bool -> ?updater_port:int -> ?attempt:int -> t ->
-  Afs_util.Capability.t -> handle Afs_core.Errors.r
+val begin_txn : t -> Afs_util.Capability.t -> handle Afs_core.Errors.r
 (** Route, chase forwards (learning each hop), and open a version on the
     owning shard. Errors other than [Moved] propagate ([Locked_out]
     back-off policy is the caller's, as in the bare-server harnesses). *)
@@ -58,12 +51,13 @@ exception Give_up of Afs_core.Errors.t
 (** Raise inside an {!update} body to abort without retrying. *)
 
 val update :
-  ?retries:int -> ?respect_hints:bool -> ?updater_port:int -> t ->
-  Afs_util.Capability.t -> (Txn.t -> 'a Afs_core.Errors.r) -> 'a Afs_core.Errors.r
+  ?retries:int -> t -> Afs_util.Capability.t -> (Txn.t -> 'a Afs_core.Errors.r) ->
+  'a Afs_core.Errors.r
 (** {!Afs_core.Client.update}'s redo loop, cluster-wide: on [Conflict]
     (from the body or from commit) the whole body re-runs against a fresh
     version — which may land on a {e different} shard if the file migrated
-    between attempts. Other errors abort the version and propagate. *)
+    between attempts — for at most [retries] runs of the body in all.
+    Other errors abort the version and propagate. *)
 
 val current_version :
   t -> Afs_util.Capability.t ->

@@ -51,7 +51,7 @@ let location_check server base (req : Remote.request) : Remote.response =
           match txn_record server file with
           | Some record -> Error (Errors.Txn_in_doubt record)
           | None -> base req))
-  | Remote.Create_version { file; _ } -> (
+  | Remote.Create_version file -> (
       match moved_target server file with
       | Some target -> Error (Errors.Moved target)
       | None -> (

@@ -7,7 +7,7 @@ module Errors = Afs_core.Errors
 type request =
   | Create_file of bytes
   | Current_version of Capability.t
-  | Create_version of { file : Capability.t; respect_hints : bool; updater_port : int }
+  | Create_version of Capability.t
   | Read_page of Capability.t * Pagepath.t
   | Write_page of Capability.t * Pagepath.t * bytes
   | Insert_page of { version : Capability.t; parent : Pagepath.t; index : int; data : bytes }
@@ -54,8 +54,7 @@ type response = (value, Errors.t) result
 let handle server : request -> response = function
   | Create_file data -> Result.map (fun c -> Cap c) (Server.create_file server ~data ())
   | Current_version file -> Result.map (fun c -> Cap c) (Server.current_version server file)
-  | Create_version { file; respect_hints; updater_port } ->
-      Result.map (fun c -> Cap c) (Server.create_version ~respect_hints ~updater_port server file)
+  | Create_version file -> Result.map (fun c -> Cap c) (Server.create_version server file)
   | Read_page (version, path) ->
       Result.map (fun d -> Data d) (Server.read_page server version path)
   | Write_page (version, path, data) ->
@@ -271,8 +270,7 @@ let as_validation = function
 let create_file conn data = as_cap (call conn (Create_file data))
 let current_version conn file = as_cap (call conn (Current_version file))
 
-let create_version ?(respect_hints = false) ?(updater_port = 0) conn file =
-  as_cap (call conn (Create_version { file; respect_hints; updater_port }))
+let create_version conn file = as_cap (call conn (Create_version file))
 
 let read_page conn version path = as_data (call conn (Read_page (version, path)))
 let write_page conn version path data = as_unit (call conn (Write_page (version, path, data)))

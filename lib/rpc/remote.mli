@@ -10,11 +10,7 @@
 type request =
   | Create_file of bytes
   | Current_version of Afs_util.Capability.t
-  | Create_version of {
-      file : Afs_util.Capability.t;
-      respect_hints : bool;
-      updater_port : int;
-    }
+  | Create_version of Afs_util.Capability.t
   | Read_page of Afs_util.Capability.t * Afs_util.Pagepath.t
   | Write_page of Afs_util.Capability.t * Afs_util.Pagepath.t * bytes
   | Insert_page of {
@@ -132,9 +128,7 @@ val connect : ?balance:bool -> host list -> conn
 val create_file : conn -> bytes -> Afs_util.Capability.t Afs_core.Errors.r
 val current_version : conn -> Afs_util.Capability.t -> Afs_util.Capability.t Afs_core.Errors.r
 
-val create_version :
-  ?respect_hints:bool -> ?updater_port:int -> conn -> Afs_util.Capability.t ->
-  Afs_util.Capability.t Afs_core.Errors.r
+val create_version : conn -> Afs_util.Capability.t -> Afs_util.Capability.t Afs_core.Errors.r
 
 val read_page :
   conn -> Afs_util.Capability.t -> Afs_util.Pagepath.t -> bytes Afs_core.Errors.r

@@ -54,12 +54,11 @@ module Trace = Afs_trace.Trace
 module Txnmark = Afs_cluster.Txnmark
 module CC = Afs_cluster.Cluster_client
 module Proc = Afs_sim.Proc
+module Pageop = Afs_core.Pageop
 open Errors
 
-type op =
-  | Read of Pagepath.t
-  | Write of Pagepath.t * bytes
-  | Rmw of Pagepath.t * (bytes -> bytes)
+type 'p page_op = 'p Pageop.t = Read of 'p | Write of 'p * bytes | Rmw of 'p * (bytes -> bytes)
+type op = Pagepath.t page_op
 
 type part = { file : Capability.t; ops : op list }
 
@@ -80,7 +79,6 @@ type t = {
   trace : Trace.t;
   counters : Stats.Counter.t;
   mutable next_seq : int;
-  mutable round_trips : int;
   backoff_ms : float;
   pending_patience : int;
 }
@@ -91,19 +89,16 @@ let create ?(trace = Trace.null) ?(backoff_ms = 5.0) ?(pending_patience = 32) cl
     trace;
     counters = Stats.Counter.create ();
     next_seq = 1;
-    round_trips = 0;
     backoff_ms;
     pending_patience;
   }
 
 let counters t = t.counters
-let round_trips t = t.round_trips
-let bump ?by t name = Stats.Counter.incr ?by t.counters name
+let bump t name = Stats.Counter.incr t.counters name
 let tpoint t payload = if Trace.enabled t.trace then Trace.point t.trace payload
 
-let rt ?(n = 1) t =
-  t.round_trips <- t.round_trips + n;
-  bump ~by:n t "txn.round_trips"
+(* One client->shard message: the coordination overhead S2 reports. *)
+let rt t = bump t "txn.round_trips"
 
 (* {2 The decision logic (pure)}
 
@@ -216,19 +211,24 @@ let read_paths ops =
     (function Read path | Rmw (path, _) -> Some path | Write _ -> None)
     ops
 
-(* Pair the fetched pages back up with the ops that asked for them
-   (pure; [pages] mirrors [read_paths ops] by construction). *)
+(* Pair the fetched pages back up with the ops that asked for them, by
+   walking the ops with each read answered by the next fetched page
+   ([pages] mirrors [read_paths ops] by construction). *)
 let computed_writes ops pages =
-  let rec go pages acc = function
-    | [] -> List.rev acc
-    | Read _ :: rest -> go (match pages with _ :: ps -> ps | [] -> []) acc rest
-    | Write (path, data) :: rest -> go pages ((path, data) :: acc) rest
-    | Rmw (path, f) :: rest -> (
-        match pages with
-        | data :: ps -> go ps ((path, f data) :: acc) rest
-        | [] -> List.rev acc)
+  let pages = ref pages and writes = ref [] in
+  let read _ =
+    match !pages with
+    | data :: rest ->
+        pages := rest;
+        Ok data
+    | [] -> Error ()
   in
-  go pages [] ops
+  let write path data =
+    writes := (path, data) :: !writes;
+    Ok ()
+  in
+  ignore (Pageop.run ~read ~write ops : (unit, unit) result);
+  List.rev !writes
 
 (* Stage one participant: ordinary version, the transaction's reads,
    then the marker committed into the root. Nothing but the root is
@@ -373,22 +373,13 @@ let exec_single t part =
       | Error e -> Error (Failed e)
       | Ok h -> (
           let ran =
-            List.fold_left
-              (fun acc op ->
-                let* () = acc in
-                match op with
-                | Read path ->
-                    rt t;
-                    let* (_ : bytes) = CC.Txn.read h.CC.txn path in
-                    Ok ()
-                | Write (path, data) ->
-                    rt t;
-                    CC.Txn.write h.CC.txn path data
-                | Rmw (path, f) ->
-                    rt ~n:2 t;
-                    let* data = CC.Txn.read h.CC.txn path in
-                    CC.Txn.write h.CC.txn path (f data))
-              (Ok ()) part.ops
+            Pageop.run part.ops
+              ~read:(fun path ->
+                rt t;
+                CC.Txn.read h.CC.txn path)
+              ~write:(fun path data ->
+                rt t;
+                CC.Txn.write h.CC.txn path data)
           in
           match ran with
           | Error e ->

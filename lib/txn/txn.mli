@@ -18,11 +18,12 @@
 
     Must run inside a simulation process (everything is RPCs). *)
 
-type op =
-  | Read of Afs_util.Pagepath.t
-  | Write of Afs_util.Pagepath.t * bytes
-  | Rmw of Afs_util.Pagepath.t * (bytes -> bytes)
-      (** Read the page, write the transform of what was read. *)
+type 'p page_op = 'p Afs_core.Pageop.t =
+  | Read of 'p
+  | Write of 'p * bytes
+  | Rmw of 'p * (bytes -> bytes)  (** Read the page, write the transform of what was read. *)
+
+type op = Afs_util.Pagepath.t page_op
 
 type part = { file : Afs_util.Capability.t; ops : op list }
 (** One participant. A transaction's parts must name distinct files. *)
@@ -104,12 +105,10 @@ val record_decision : t -> Afs_util.Capability.t -> decision Afs_core.Errors.r
 
 (** {2 Accounting} *)
 
-val round_trips : t -> int
-(** Client→shard messages this coordinator has sent, across all its
-    transactions — the coordination overhead the S2 bench reports. *)
-
 val counters : t -> Afs_util.Stats.Counter.t
 (** [txn.committed], [txn.aborted.local], [txn.aborted.cross],
-    [txn.coordinated], [txn.fastpath], [txn.round_trips],
+    [txn.coordinated], [txn.fastpath], [txn.round_trips] (client→shard
+    messages sent, across all transactions: the coordination overhead
+    the S2 bench reports),
     [txn.force_aborts], [txn.resolved.forward], [txn.resolved.back],
     [txn.flip_deferred], [txn.unstage_deferred]. *)

@@ -2,11 +2,14 @@ module Pagepath = Afs_util.Pagepath
 module Server = Afs_core.Server
 module Errors = Afs_core.Errors
 module Remote = Afs_rpc.Remote
+module CC = Afs_cluster.Cluster_client
+module Pageop = Afs_core.Pageop
 module Twopl = Afs_baseline.Twopl
 module Tsorder = Afs_baseline.Tsorder
 module Proc = Afs_sim.Proc
 
-type op = Read of int | Write of int * bytes | Rmw of int * (bytes -> bytes)
+type 'p page_op = 'p Pageop.t = Read of 'p | Write of 'p * bytes | Rmw of 'p * (bytes -> bytes)
+type op = int page_op
 
 type txn_spec = {
   file : int;
@@ -58,6 +61,13 @@ let single_part_only where spec =
   if spec.parts <> [] then
     fatal_error where (Errors.Store_failure "multi-part transaction on a single-file backend")
 
+let server_stats server () = Afs_util.Stats.Counter.to_list (Server.counters server)
+
+(* An invariant-check read of the file's current committed page. *)
+let server_read_page server file page =
+  let cap = fatal "current_version" (Server.current_version server file) in
+  fatal "read_page" (Server.read_page server cap (page_path page))
+
 (* Checker-side reads go straight to the owning server, chasing any
    tombstones the router has not learned about. Shared by every
    cluster-backed SUT. In-doubt files are read as their pre-transaction
@@ -73,221 +83,144 @@ let cluster_read_page cluster files file page =
         | Some _ | None -> (server, cap))
   in
   let server, cap = locate files.(file) 0 in
-  let vcap = fatal "current_version" (Server.current_version server cap) in
-  fatal "read_page" (Server.read_page server vcap (page_path page))
+  server_read_page server cap page
 
 let cluster_stats cluster () =
   Afs_util.Stats.Counter.to_list (Afs_cluster.Cluster.counters cluster)
   @ List.concat_map
       (fun s ->
         let prefix = Afs_cluster.Shard.name s ^ "." in
-        List.map
-          (fun (k, v) -> (prefix ^ k, v))
-          (Afs_util.Stats.Counter.to_list (Server.counters (Afs_cluster.Shard.server s))))
+        List.map (fun (k, v) -> (prefix ^ k, v)) (server_stats (Afs_cluster.Shard.server s) ()))
       (Afs_cluster.Cluster.shards cluster)
 
-(* {2 Amoeba file service, direct} *)
+(* {2 The Amoeba file service: one optimistic loop}
+
+   The paper puts redo on the client: open a version, walk the ops,
+   commit, and on [Conflict] redo at once. Every single-file AFS backend
+   runs this one loop over a record of closures on its own client
+   surface. The outcome table:
+   - [Locked_out] on open: pause, then redo;
+   - an outage (a crashed host awaiting recovery or failover; only the
+     cluster reports one) at any step: pause and redo, first aborting the
+     version if the outage hit its ops;
+   - [Conflict] at commit: redo at once;
+   - anything else: [Fatal], first aborting the version if the error hit
+     its ops.
+   A backend with the same RPC sequence therefore reports bit-identically:
+   a one-shard cluster matches the bare remote server. *)
+
+type 'v backend = {
+  where : string;
+  open_version : Afs_util.Capability.t -> 'v Errors.r;
+  read : 'v -> Pagepath.t -> bytes Errors.r;
+  write : 'v -> Pagepath.t -> bytes -> unit Errors.r;
+  commit : 'v -> unit Errors.r;
+  abort : 'v -> unit;
+  outage : Errors.t -> bool;
+  pause : unit -> unit;
+}
+
+let walk b v ops =
+  Pageop.run ops
+    ~read:(fun i -> b.read v (page_path i))
+    ~write:(fun i data -> b.write v (page_path i) data)
+
+let optimistic b ~files spec ~max_retries =
+  single_part_only b.where spec;
+  let file = files.(spec.file) in
+  let rec attempt n =
+    let redo ~pause =
+      if n < max_retries then begin
+        if pause then b.pause ();
+        attempt (n + 1)
+      end
+      else finished ~committed:false n
+    in
+    match b.open_version file with
+    | Error (Errors.Locked_out _) -> redo ~pause:true
+    | Error e when b.outage e -> redo ~pause:true
+    | Error e -> fatal_error (b.where ^ " create_version") e
+    | Ok v -> (
+        match walk b v spec.ops with
+        | Error e ->
+            b.abort v;
+            if b.outage e then redo ~pause:true else fatal_error (b.where ^ " ops") e
+        | Ok () -> (
+            match b.commit v with
+            | Ok () -> finished ~committed:true n
+            | Error Errors.Conflict -> redo ~pause:false
+            | Error e when b.outage e ->
+                (* The commit request never reached a live server (a
+                   served request's reply still delivers across a crash),
+                   so nothing committed: redo from scratch. *)
+                redo ~pause:true
+            | Error e -> fatal_error (b.where ^ " commit") e))
+  in
+  attempt 1
+
+let rpc_pause () = Proc.delay 5.0
 
 let afs_local server ~files =
-  let run_ops version ops =
-    let rec go = function
-      | [] -> Ok ()
-      | Read i :: rest -> (
-          match Server.read_page server version (page_path i) with
-          | Ok _ -> go rest
-          | Error _ as e -> Result.map (fun _ -> ()) e)
-      | Write (i, data) :: rest -> (
-          match Server.write_page server version (page_path i) data with
-          | Ok () -> go rest
-          | Error _ as e -> e)
-      | Rmw (i, f) :: rest -> (
-          match Server.read_page server version (page_path i) with
-          | Error _ as e -> Result.map (fun _ -> ()) e
-          | Ok v -> (
-              match Server.write_page server version (page_path i) (f v) with
-              | Ok () -> go rest
-              | Error _ as e -> e))
-    in
-    go ops
-  in
-  let exec spec ~max_retries =
-    single_part_only "afs_local" spec;
-    let file = files.(spec.file) in
-    let rec attempt n =
-      match Server.create_version server file with
-      | Error (Errors.Locked_out _) ->
-          if n < max_retries then attempt (n + 1) else finished ~committed:false n
-      | Error e -> fatal_error "afs_local create_version" e
-      | Ok version -> (
-          match run_ops version spec.ops with
-          | Error e ->
-              ignore (Server.abort_version server version);
-              fatal_error "afs_local ops" e
-          | Ok () -> (
-              match Server.commit server version with
-              | Ok () -> finished ~committed:true n
-              | Error Errors.Conflict ->
-                  if n < max_retries then attempt (n + 1)
-                  else finished ~committed:false n
-              | Error e -> fatal_error "afs_local commit" e))
-    in
-    attempt 1
-  in
-  let read_page file page =
-    let cap = fatal "current_version" (Server.current_version server files.(file)) in
-    fatal "read_page" (Server.read_page server cap (page_path page))
+  let b =
+    {
+      where = "afs_local";
+      open_version = Server.create_version server;
+      read = Server.read_page server;
+      write = Server.write_page server;
+      commit = Server.commit server;
+      abort = (fun v -> ignore (Server.abort_version server v));
+      outage = (fun _ -> false);
+      pause = ignore;
+    }
   in
   {
     name = "afs-occ";
-    exec;
-    stats = (fun () -> Afs_util.Stats.Counter.to_list (Server.counters server));
-    read_page;
+    exec = optimistic b ~files;
+    stats = server_stats server;
+    read_page = (fun file -> server_read_page server files.(file));
   }
 
-(* {2 Amoeba file service over simulated RPC} *)
-
-let afs_remote ?(name = "afs-occ-rpc") ?(respect_hints = false) conn ~fallback ~files =
-  let run_ops version ops =
-    let rec go = function
-      | [] -> Ok ()
-      | Read i :: rest -> (
-          match Remote.read_page conn version (page_path i) with
-          | Ok _ -> go rest
-          | Error _ as e -> Result.map (fun _ -> ()) e)
-      | Write (i, data) :: rest -> (
-          match Remote.write_page conn version (page_path i) data with
-          | Ok () -> go rest
-          | Error _ as e -> e)
-      | Rmw (i, f) :: rest -> (
-          match Remote.read_page conn version (page_path i) with
-          | Error _ as e -> Result.map (fun _ -> ()) e
-          | Ok v -> (
-              match Remote.write_page conn version (page_path i) (f v) with
-              | Ok () -> go rest
-              | Error _ as e -> e))
-    in
-    go ops
-  in
-  let exec spec ~max_retries =
-    single_part_only "afs_remote" spec;
-    let file = files.(spec.file) in
-    let rec attempt n =
-      match Remote.create_version ~respect_hints conn file with
-      | Error (Errors.Locked_out _) ->
-          if n < max_retries then begin
-            (* Soft lock or super-file lock: wait for the hint to clear. *)
-            Proc.delay 5.0;
-            attempt (n + 1)
-          end
-          else finished ~committed:false n
-      | Error e -> fatal_error "afs_remote create_version" e
-      | Ok version -> (
-          match run_ops version spec.ops with
-          | Error e ->
-              ignore (Remote.abort_version conn version);
-              fatal_error "afs_remote ops" e
-          | Ok () -> (
-              match Remote.commit conn version with
-              | Ok () -> finished ~committed:true n
-              | Error Errors.Conflict ->
-                  if n < max_retries then attempt (n + 1)
-                  else finished ~committed:false n
-              | Error e -> fatal_error "afs_remote commit" e))
-    in
-    attempt 1
-  in
-  let read_page file page =
-    let cap = fatal "current_version" (Server.current_version fallback files.(file)) in
-    fatal "read_page" (Server.read_page fallback cap (page_path page))
+let afs_remote ?(name = "afs-occ-rpc") conn ~fallback ~files =
+  let b =
+    {
+      where = "afs_remote";
+      open_version = Remote.create_version conn;
+      read = Remote.read_page conn;
+      write = Remote.write_page conn;
+      commit = Remote.commit conn;
+      abort = (fun v -> ignore (Remote.abort_version conn v));
+      outage = (fun _ -> false);
+      pause = rpc_pause;
+    }
   in
   {
     name;
-    exec;
-    stats = (fun () -> Afs_util.Stats.Counter.to_list (Server.counters fallback));
-    read_page;
+    exec = optimistic b ~files;
+    stats = server_stats fallback;
+    read_page = (fun file -> server_read_page fallback files.(file));
   }
 
-(* {2 Amoeba file service over a shard cluster}
+(* A cluster member may simply stop answering (crashed, awaiting
+   failover): [Store_failure] there is a transport outage, not a protocol
+   violation. The connection lookup learns a promoted server as soon as
+   one exists; a healthy run never sees an outage. *)
+let cluster_backend client =
+  {
+    where = "afs_cluster";
+    open_version = CC.begin_txn client;
+    read = (fun h path -> CC.Txn.read h.CC.txn path);
+    write = (fun h path data -> CC.Txn.write h.CC.txn path data);
+    commit = CC.commit client;
+    abort = (fun h -> ignore (CC.abort h));
+    outage = (function Errors.Store_failure _ -> true | _ -> false);
+    pause = rpc_pause;
+  }
 
-   The exec loop mirrors [afs_remote] step for step — same RPC sequence,
-   same Locked_out back-off, same attempt accounting — with routing (a
-   pure local port lookup, no simulated time) in front of each
-   create_version. That structural identity is what makes a one-shard
-   cluster's driver report bit-identical to the bare remote SUT's. *)
-
-let cluster_run_ops txn ops =
-  let module CC = Afs_cluster.Cluster_client in
-  let rec go = function
-    | [] -> Ok ()
-    | Read i :: rest -> (
-        match CC.Txn.read txn (page_path i) with
-        | Ok _ -> go rest
-        | Error _ as e -> Result.map (fun _ -> ()) e)
-    | Write (i, data) :: rest -> (
-        match CC.Txn.write txn (page_path i) data with
-        | Ok () -> go rest
-        | Error _ as e -> e)
-    | Rmw (i, f) :: rest -> (
-        match CC.Txn.read txn (page_path i) with
-        | Error _ as e -> Result.map (fun _ -> ()) e
-        | Ok v -> (
-            match CC.Txn.write txn (page_path i) (f v) with
-            | Ok () -> go rest
-            | Error _ as e -> e))
-  in
-  go ops
-
-let afs_cluster ?(name = "afs-occ-cluster") ?(respect_hints = false) client ~files =
-  let module CC = Afs_cluster.Cluster_client in
+let afs_cluster client ~files =
   let cluster = CC.cluster client in
-  let run_ops = cluster_run_ops in
-  let exec spec ~max_retries =
-    single_part_only "afs_cluster" spec;
-    let file = files.(spec.file) in
-    (* Unlike the single-server SUTs, a cluster member may simply stop
-       answering (crashed, awaiting failover): [Store_failure] here is a
-       transport outage, not a protocol violation, so it backs off and
-       retries like [Locked_out] — the connection lookup learns the
-       promoted server as soon as one exists. A healthy run never takes
-       these arms, preserving the one-shard bit-identity to [afs_remote]. *)
-    let rec attempt n =
-      let back_off_retry () =
-        if n < max_retries then begin
-          Proc.delay 5.0;
-          attempt (n + 1)
-        end
-        else finished ~committed:false n
-      in
-      match CC.begin_txn ~respect_hints ~attempt:n client file with
-      | Error (Errors.Locked_out _) -> back_off_retry ()
-      | Error (Errors.Store_failure _) -> back_off_retry ()
-      | Error e -> fatal_error "afs_cluster create_version" e
-      | Ok h -> (
-          match run_ops h.CC.txn spec.ops with
-          | Error (Errors.Store_failure _) ->
-              ignore (CC.abort h);
-              back_off_retry ()
-          | Error e ->
-              ignore (CC.abort h);
-              fatal_error "afs_cluster ops" e
-          | Ok () -> (
-              match CC.commit client h with
-              | Ok () -> finished ~committed:true n
-              | Error Errors.Conflict ->
-                  if n < max_retries then attempt (n + 1)
-                  else finished ~committed:false n
-              | Error (Errors.Store_failure _) ->
-                  (* The commit request never reached a live server (a
-                     served request's reply still delivers across a
-                     crash), so nothing committed; redo from scratch. *)
-                  back_off_retry ()
-              | Error e -> fatal_error "afs_cluster commit" e))
-    in
-    attempt 1
-  in
   {
-    name;
-    exec;
+    name = "afs-occ-cluster";
+    exec = optimistic (cluster_backend client) ~files;
     stats = cluster_stats cluster;
     read_page = cluster_read_page cluster files;
   }
@@ -414,31 +347,21 @@ let tsorder ?remote backend ~pages_per_file =
     single_part_only "tsorder" spec;
     let rec attempt n =
       let txn = run (fun () -> Tsorder.begin_ backend) in
-      let rec run_ops = function
-        | [] -> Some ()
-        | Read i :: rest -> (
-            match run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)) with
-            | Ok _ -> run_ops rest
-            | Error `Late_read -> None)
-        | Write (i, data) :: rest -> (
-            match run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) data) with
-            | Ok () -> run_ops rest
-            | Error (`Late_write _) -> None)
-        | Rmw (i, f) :: rest -> (
-            match run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)) with
-            | Error `Late_read -> None
-            | Ok v -> (
-                match run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) (f v)) with
-                | Ok () -> run_ops rest
-                | Error (`Late_write _) -> None))
+      (* A late read or write is the whole story: abort and redo. *)
+      let read i =
+        Result.map_error ignore (run (fun () -> Tsorder.read backend txn ~obj:(obj spec.file i)))
+      in
+      let write i data =
+        Result.map_error ignore
+          (run (fun () -> Tsorder.write backend txn ~obj:(obj spec.file i) data))
       in
       let redo () =
         run (fun () -> Tsorder.abort backend txn);
         if n < max_retries then attempt (n + 1) else finished ~committed:false n
       in
-      match run_ops spec.ops with
-      | None -> redo ()
-      | Some () -> (
+      match Pageop.run ~read ~write spec.ops with
+      | Error () -> redo ()
+      | Ok () -> (
           match run (fun () -> Tsorder.commit backend txn) with
           | Ok () -> finished ~committed:true n
           | Error (`Late_write _) -> redo ())
@@ -461,24 +384,13 @@ let tsorder ?remote backend ~pages_per_file =
    (local) versus a fully-staged transaction force-aborted at the
    coordinator record (cross). *)
 
-let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
-  let module CC = Afs_cluster.Cluster_client in
+let afs_txn ?trace client ~files =
   let module Txn = Afs_txn.Txn in
   let cluster = CC.cluster client in
   let txn = Txn.create ?trace client in
-  let to_ops ops =
-    List.map
-      (function
-        | Read i -> Txn.Read (page_path i)
-        | Write (i, data) -> Txn.Write (page_path i, data)
-        | Rmw (i, f) -> Txn.Rmw (page_path i, f))
-      ops
-  in
+  let part (file, ops) = { Txn.file = files.(file); ops = List.map (Pageop.map page_path) ops } in
   let parts_of spec =
-    match spec.parts with
-    | [] -> [ { Txn.file = files.(spec.file); ops = to_ops spec.ops } ]
-    | parts ->
-        List.map (fun (file, ops) -> { Txn.file = files.(file); ops = to_ops ops }) parts
+    match spec.parts with [] -> [ part (spec.file, spec.ops) ] | parts -> List.map part parts
   in
   let exec spec ~max_retries =
     let parts = parts_of spec in
@@ -496,7 +408,7 @@ let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
           | Txn.Failed (Errors.Locked_out _ | Errors.Store_failure _) ->
               (* Transport outage or lock hint: wait it out, as the other
                  cluster SUTs do. Not an abort — nothing was staged. *)
-              Proc.delay 5.0
+              rpc_pause ()
           | Txn.Failed e -> fatal_error "afs_txn exec" e);
           if n < max_retries then attempt (n + 1) else result ~committed:false n
     in
@@ -505,7 +417,7 @@ let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
   let stats () =
     Afs_util.Stats.Counter.to_list (Txn.counters txn) @ cluster_stats cluster ()
   in
-  { name; exec; stats; read_page = cluster_read_page cluster files }
+  { name = "afs-occ-txn"; exec; stats; read_page = cluster_read_page cluster files }
 
 (* {2 Two-phase-commit baseline over the same cluster}
 
@@ -518,9 +430,9 @@ let afs_txn ?(name = "afs-occ-txn") ?trace client ~files =
    for the whole prepare window, surfacing as [Store_failure] back-offs.
    Contrast with [afs_txn], which holds nothing across shards. *)
 
-let afs_twopc ?(name = "afs-2pc") client ~files =
-  let module CC = Afs_cluster.Cluster_client in
+let afs_twopc client ~files =
   let cluster = CC.cluster client in
+  let b = cluster_backend client in
   let prepare_one h =
     Remote.prepare (CC.Txn.conn h.CC.txn) (CC.Txn.version h.CC.txn)
   in
@@ -538,11 +450,11 @@ let afs_twopc ?(name = "afs-2pc") client ~files =
     let result ~committed n =
       { committed; attempts = n; local_aborts = !local; cross_aborts = !cross }
     in
-    let abort_all hs = List.iter (fun h -> ignore (CC.abort h)) hs in
+    let abort_all hs = List.iter b.abort hs in
     let rec attempt n =
       let back_off_retry ~result:r () =
         if n < max_retries then begin
-          Proc.delay 5.0;
+          rpc_pause ();
           attempt (n + 1)
         end
         else r
@@ -552,13 +464,13 @@ let afs_twopc ?(name = "afs-2pc") client ~files =
       let rec open_all acc = function
         | [] -> `Opened (List.rev acc)
         | (file, ops) :: rest -> (
-            match CC.begin_txn ~attempt:n client files.(file) with
+            match b.open_version files.(file) with
             | Error (Errors.Locked_out _ | Errors.Store_failure _) ->
                 abort_all acc;
                 `Back_off
             | Error e -> fatal_error "afs_twopc create_version" e
             | Ok h -> (
-                match cluster_run_ops h.CC.txn ops with
+                match walk b h ops with
                 | Ok () -> open_all (h :: acc) rest
                 | Error (Errors.Store_failure _) ->
                     abort_all (h :: acc);
@@ -582,8 +494,7 @@ let afs_twopc ?(name = "afs-2pc") client ~files =
                     List.iter
                       (fun p -> ignore (decide_one p ~commit:false))
                       (List.rev prepared);
-                    ignore (CC.abort h);
-                    abort_all rest;
+                    abort_all (h :: rest);
                     `Refused (idx, e))
           in
           match prepare_all [] 0 handles with
@@ -612,7 +523,7 @@ let afs_twopc ?(name = "afs-2pc") client ~files =
     attempt 1
   in
   {
-    name;
+    name = "afs-2pc";
     exec;
     stats = cluster_stats cluster;
     read_page = cluster_read_page cluster files;

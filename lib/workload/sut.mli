@@ -1,12 +1,25 @@
 (** The system-under-test abstraction the workload driver runs against.
 
-    A transaction is a file plus a list of page operations; [Rmw] makes
-    the written value depend on the read one, which is what lets the
-    test-suite check serialisability by invariant (conserved totals) on
-    every backend. Adapters exist for the Amoeba file service (local and
-    over simulated RPC), the XDFS-style locking baseline and the
-    SWALLOW-style timestamp baseline, each encoding its own redo/wait
-    policy. *)
+    A transaction is a file plus a list of page operations
+    ({!Afs_core.Pageop}); [Rmw] makes the written value depend on the
+    read one, which is what lets the test-suite check serialisability by
+    invariant (conserved totals) on every backend.
+
+    The single-file Amoeba backends ({!afs_local}, {!afs_remote},
+    {!afs_cluster}) run one optimistic loop — open a version, walk the
+    ops, commit, redo — over each backend's own client surface, with one
+    outcome table:
+    - [Locked_out] on open: pause 5 ms of simulated time (none on
+      {!afs_local}), then redo;
+    - [Store_failure] on {!afs_cluster}: a transport outage at every step
+      — pause and redo, first aborting the version if the outage hit its
+      ops. On {!afs_local} and {!afs_remote} it is {!Fatal};
+    - [Conflict] at commit: redo at once;
+    - anything else: {!Fatal}, first aborting the version if the error
+      hit its ops.
+    Each redo is one more attempt, up to [max_retries]. The cross-shard
+    backends and the XDFS-style locking and SWALLOW-style timestamp
+    baselines encode their own redo/wait policies. *)
 
 exception Fatal of { where : string; error : Afs_core.Errors.t }
 (** A reply the workload can never legitimately see: a harness bug or
@@ -15,10 +28,13 @@ exception Fatal of { where : string; error : Afs_core.Errors.t }
     instead of miscounting; carries the protocol {!Afs_core.Errors.t}
     (lint rule P1: no stringly [failwith] in protocol paths). *)
 
-type op =
-  | Read of int
-  | Write of int * bytes
-  | Rmw of int * (bytes -> bytes)  (** Read page, write the transform. *)
+type 'p page_op = 'p Afs_core.Pageop.t =
+  | Read of 'p
+  | Write of 'p * bytes
+  | Rmw of 'p * (bytes -> bytes)  (** Read page, write the transform. *)
+
+type op = int page_op
+(** Pages are named by child index under the file's root. *)
 
 type txn_spec = {
   file : int;
@@ -60,47 +76,34 @@ val afs_local : Afs_core.Server.t -> files:Afs_util.Capability.t array -> t
 
 val afs_remote :
   ?name:string ->
-  ?respect_hints:bool ->
   Afs_rpc.Remote.conn ->
   fallback:Afs_core.Server.t ->
   files:Afs_util.Capability.t array ->
   t
-(** Over simulated RPC; conflicts redo immediately (optimistic policy).
-    [fallback] is only used for out-of-band invariant reads.
-    [respect_hints] enables the §5.3 soft-lock scheme on version
-    creation. *)
+(** Over simulated RPC. [fallback] is only used for out-of-band
+    invariant reads. *)
 
-val afs_cluster :
-  ?name:string ->
-  ?respect_hints:bool ->
-  Afs_cluster.Cluster_client.t ->
-  files:Afs_util.Capability.t array ->
-  t
-(** Over a shard cluster, location-transparently: the exec loop is
-    [afs_remote]'s step for step, with a local port-routing lookup in
-    front of each version creation — so a one-shard cluster reports
-    bit-identically to {!afs_remote} on the same engine and seed.
+val afs_cluster : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t array -> t
+(** Over a shard cluster, location-transparently: the one loop with a
+    local port-routing lookup (no simulated time) in front of each
+    version creation, so a one-shard cluster sends {!afs_remote}'s RPC
+    sequence and reports bit-identically on the same engine and seed.
     Tolerates concurrent migrations: [Moved] answers are chased inside
     version creation, and invariant reads follow tombstones. *)
 
 val afs_txn :
-  ?name:string ->
   ?trace:Afs_trace.Trace.t ->
   Afs_cluster.Cluster_client.t ->
   files:Afs_util.Capability.t array ->
   t
 (** {!afs_cluster} plus multi-part transactions via lib/txn's optimistic
     coordinator (stage/decide/flip). Single-part specs take the fast
-    path — the same RPC sequence as {!afs_cluster}. [local_aborts]
-    counts participant stages losing ordinary one-shard races;
-    [cross_aborts] counts staged transactions force-aborted at the
-    coordinator record. *)
+    path: the same RPC sequence as {!afs_cluster}, walked by the same
+    {!Afs_core.Pageop.run}. [local_aborts] counts participant stages
+    losing ordinary one-shard races; [cross_aborts] counts staged
+    transactions force-aborted at the coordinator record. *)
 
-val afs_twopc :
-  ?name:string ->
-  Afs_cluster.Cluster_client.t ->
-  files:Afs_util.Capability.t array ->
-  t
+val afs_twopc : Afs_cluster.Cluster_client.t -> files:Afs_util.Capability.t array -> t
 (** The blocking two-phase-commit baseline over the same cluster:
     participant versions are prepared in canonical file order (each
     parking the server's commit pipeline, base lock held), then decided.

@@ -211,6 +211,31 @@ let test_crash_isolated_and_recoverable () =
       Helpers.check_bytes "committed data back after recovery" "committed"
         (ok (Cluster_client.read_current client f0 (P.of_list [ 0 ]))))
 
+(* {2 The redo loop} *)
+
+(* [update ~retries:n] runs the body at most [n] times, as
+   {!Afs_core.Client.update} does: here every run is beaten by an
+   interfering commit that lands between the body and its commit. *)
+let test_update_stops_at_retries () =
+  in_cluster ~shards:1 (fun _cluster client ->
+      let f = ok (Cluster_client.create_file ~data:(bytes "v0") client) in
+      let runs = ref 0 in
+      let result =
+        Cluster_client.update ~retries:3 client f (fun txn ->
+            let open Errors in
+            incr runs;
+            let* () =
+              Cluster_client.update client f (fun other ->
+                  Cluster_client.Txn.write other P.root (bytes "interferer"))
+            in
+            Cluster_client.Txn.write txn P.root (bytes "beaten"))
+      in
+      (match result with
+      | Error Errors.Conflict -> ()
+      | Ok () -> Alcotest.fail "a beaten body committed"
+      | Error e -> Alcotest.failf "expected Conflict, got %s" (Errors.to_string e));
+      Alcotest.(check int) "body runs" 3 !runs)
+
 (* {2 Migration} *)
 
 let test_migrate_moves_data_and_leaves_tombstone () =
@@ -468,6 +493,7 @@ let () =
       ( "faults",
         [ quick "crash isolated; recovery restores" test_crash_isolated_and_recoverable ]
       );
+      ( "update", [ quick "stops after retries runs" test_update_stops_at_retries ] );
       ( "migration",
         [
           quick "moves data, leaves tombstone" test_migrate_moves_data_and_leaves_tombstone;

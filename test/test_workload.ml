@@ -103,6 +103,90 @@ let test_tsorder_sut_exec () =
   Alcotest.(check bool) "committed" true r.Sut.committed;
   Helpers.check_bytes "value stored" "stamped" (sut.Sut.read_page 2 3)
 
+(* {2 The optimistic loop's outcome table} *)
+
+(* Run [body] as a simulated process and return its result. *)
+let in_sim engine body =
+  let result = ref None in
+  let _ = Afs_sim.Proc.spawn engine (fun () -> result := Some (body ())) in
+  Engine.run engine;
+  match !result with Some r -> r | None -> Alcotest.fail "process never finished"
+
+let one_write = { Sut.file = 0; ops = [ Sut.Write (0, Helpers.bytes "w") ]; parts = [] }
+
+(* File 0 sits inside a super-file whose live update has entered it, so
+   every version creation answers [Locked_out]. *)
+let locked_out_server () =
+  let _, srv = Helpers.fresh_server () in
+  let shape = { Workload.small_updates with nfiles = 1; pages_per_file = 2 } in
+  let files = ok (Workload.setup_pages srv shape ~initial:(Helpers.bytes "0")) in
+  let sf = ok (Afs_core.Superfile.make srv ~subfiles:[ files.(0) ] ()) in
+  let u = ok (Afs_core.Superfile.begin_update srv sf) in
+  let _ = ok (Afs_core.Superfile.touch_subfile u ~index:0) in
+  (srv, files)
+
+let check_gave_up name r =
+  Alcotest.(check bool) (name ^ ": not committed") false r.Sut.committed;
+  Alcotest.(check int) (name ^ ": attempts = max_retries") 3 r.Sut.attempts
+
+let test_locked_out_gives_up () =
+  let srv, files = locked_out_server () in
+  check_gave_up "afs_local" ((Sut.afs_local srv ~files).Sut.exec one_write ~max_retries:3);
+  let srv, files = locked_out_server () in
+  let engine = Engine.create () in
+  let host = Remote.host engine ~name:"afs" srv in
+  let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
+  check_gave_up "afs_remote" (in_sim engine (fun () -> sut.Sut.exec one_write ~max_retries:3))
+
+let expect_fatal what f =
+  match f () with
+  | exception Sut.Fatal _ -> ()
+  | (_ : Sut.exec_result) -> Alcotest.failf "%s: expected Sut.Fatal" what
+
+let test_remote_host_down_is_fatal () =
+  let engine = Engine.create () in
+  let _, srv = Helpers.fresh_server () in
+  let shape = { Workload.small_updates with nfiles = 1; pages_per_file = 2 } in
+  let files = ok (Workload.setup_pages srv shape ~initial:(Helpers.bytes "0")) in
+  let host = Remote.host engine ~name:"afs" srv in
+  let sut = Sut.afs_remote (Remote.connect [ host ]) ~fallback:srv ~files in
+  Remote.crash_host host;
+  expect_fatal "host down" (fun () ->
+      in_sim engine (fun () -> sut.Sut.exec one_write ~max_retries:3))
+
+let test_cluster_backs_off_across_crash () =
+  let module Cluster = Afs_cluster.Cluster in
+  let module Shard = Afs_cluster.Shard in
+  let engine = Engine.create () in
+  let cluster = Cluster.create ~latency_ms:1.0 engine ~shards:1 in
+  let shape = { Workload.small_updates with nfiles = 1; pages_per_file = 2 } in
+  let files = ok (Workload.setup_cluster cluster shape ~initial:(Helpers.bytes "0")) in
+  let shard = Cluster.shard cluster 0 in
+  Shard.crash shard;
+  let _ =
+    Afs_sim.Proc.spawn engine (fun () ->
+        Afs_sim.Proc.delay 40.0;
+        ignore (ok (Shard.recover shard)))
+  in
+  let r =
+    in_sim engine (fun () ->
+        let sut = Sut.afs_cluster (Afs_cluster.Cluster_client.connect cluster) ~files in
+        sut.Sut.exec one_write ~max_retries:100)
+  in
+  Alcotest.(check bool) "committed after recovery" true r.Sut.committed;
+  Alcotest.(check bool) "backed off at least once" true (r.Sut.attempts > 1);
+  Alcotest.(check bool) "paused until recovery" true (Engine.now engine >= 40.0)
+
+let test_local_refuses_multi_part () =
+  let _, srv = Helpers.fresh_server () in
+  let shape = { Workload.small_updates with nfiles = 2; pages_per_file = 2 } in
+  let files = ok (Workload.setup_pages srv shape ~initial:(Helpers.bytes "0")) in
+  let sut = Sut.afs_local srv ~files in
+  expect_fatal "multi-part" (fun () ->
+      sut.Sut.exec
+        { Sut.file = 0; ops = []; parts = [ (0, one_write.Sut.ops); (1, one_write.Sut.ops) ] }
+        ~max_retries:3)
+
 (* {2 The driver under contention: serialisability invariants} *)
 
 let bank_invariant_holds sut_of_engine name =
@@ -282,6 +366,13 @@ let () =
           quick "afs local rmw" test_afs_local_sut_rmw;
           quick "twopl exec" test_twopl_sut_exec;
           quick "tsorder exec" test_tsorder_sut_exec;
+        ] );
+      ( "outcomes",
+        [
+          quick "Locked_out gives up after max_retries" test_locked_out_gives_up;
+          quick "remote host down is fatal" test_remote_host_down_is_fatal;
+          quick "cluster backs off across a crash" test_cluster_backs_off_across_crash;
+          quick "local refuses multi-part" test_local_refuses_multi_part;
         ] );
       ( "invariants",
         [
